@@ -10,26 +10,32 @@
 namespace aesz::pipeline {
 
 bool is_container(std::span<const std::uint8_t> stream) {
-  ByteReader r(stream);
-  std::uint32_t magic = 0;
-  return r.try_get(magic) && magic == kContainerMagic;
+  return sz::has_magic(stream, kContainerMagic);
 }
+
+namespace {
+
+/// magic | version | inner codec magic — shared by the full parse and the
+/// identify() peek.
+Status read_prefix(ByteReader& r, std::uint8_t& version,
+                   std::uint32_t& inner_magic) {
+  if (Status s = sz::read_magic_version(r, kContainerMagic, kContainerVersion,
+                                        kContainerVersionV1, version);
+      !s.ok())
+    return s;
+  if (!r.try_get(inner_magic))
+    return Status::error(ErrCode::kTruncated, "truncated container header");
+  return {};
+}
+
+}  // namespace
 
 Expected<std::uint32_t> peek_inner_magic(
     std::span<const std::uint8_t> stream) {
   ByteReader r(stream);
-  std::uint32_t magic = 0;
   std::uint8_t version = 0;
   std::uint32_t inner = 0;
-  if (!r.try_get(magic))
-    return Status::error(ErrCode::kTruncated, "stream too short for magic");
-  if (magic != kContainerMagic)
-    return Status::error(ErrCode::kBadMagic, "not a container stream");
-  if (!r.try_get(version) || !r.try_get(inner))
-    return Status::error(ErrCode::kTruncated, "truncated container header");
-  if (version != kContainerVersion && version != kContainerVersionV1)
-    return Status::error(ErrCode::kBadHeader,
-                         "unsupported container version");
+  if (Status s = read_prefix(r, version, inner); !s.ok()) return s;
   return inner;
 }
 
@@ -45,10 +51,8 @@ std::vector<std::uint8_t> write_container(
   w.put(kContainerMagic);
   w.put(kContainerVersion);
   w.put(inner_magic);
-  w.put(static_cast<std::uint8_t>(dims.rank));
-  for (int i = 0; i < dims.rank; ++i) w.put_varint(dims[i]);
-  w.put(static_cast<std::uint8_t>(eb.mode()));
-  w.put(eb.value());
+  sz::write_dims(w, dims);
+  sz::write_error_bound(w, eb);
   w.put(abs_eb);
   w.put_varint(chunk_rows);
   w.put_varint(chunks.size());
@@ -64,31 +68,17 @@ std::vector<std::uint8_t> write_container(
 Expected<ContainerInfo> read_container(
     std::span<const std::uint8_t> stream) {
   ByteReader r(stream);
-  std::uint32_t magic = 0;
-  if (!r.try_get(magic))
-    return Status::error(ErrCode::kTruncated, "stream too short for magic");
-  if (magic != kContainerMagic)
-    return Status::error(ErrCode::kBadMagic, "container magic mismatch");
-  std::uint8_t version = 0;
   ContainerInfo info;
-  if (!r.try_get(version) || !r.try_get(info.inner_magic))
-    return Status::error(ErrCode::kTruncated, "truncated container header");
-  if (version != kContainerVersion && version != kContainerVersionV1)
-    return Status::error(ErrCode::kBadHeader,
-                         "unsupported container version");
+  std::uint8_t version = 0;
+  if (Status s = read_prefix(r, version, info.inner_magic); !s.ok()) return s;
   const bool has_crc = version >= kContainerVersion;
   if (Status s = sz::read_dims_checked(r, info.dims); !s.ok()) return s;
   const int rank = info.dims.rank;
-  std::uint8_t mode = 0;
-  double eb_value = 0.0;
-  if (!r.try_get(mode) || !r.try_get(eb_value) || !r.try_get(info.abs_eb))
-    return Status::error(ErrCode::kTruncated, "truncated bound fields");
-  if (mode > static_cast<std::uint8_t>(EbMode::kPSNR))
-    return Status::error(ErrCode::kBadHeader, "bad error-bound mode");
-  if (!std::isfinite(eb_value) || !std::isfinite(info.abs_eb) ||
-      info.abs_eb < 0)
-    return Status::error(ErrCode::kBadHeader, "bad error-bound value");
-  info.eb = ErrorBound(static_cast<EbMode>(mode), eb_value);
+  if (Status s = sz::read_error_bound(r, info.eb); !s.ok()) return s;
+  if (!r.try_get(info.abs_eb))
+    return Status::error(ErrCode::kTruncated, "truncated resolved bound");
+  if (!std::isfinite(info.abs_eb) || info.abs_eb < 0)
+    return Status::error(ErrCode::kBadHeader, "bad resolved bound");
 
   std::uint64_t chunk_rows = 0, chunk_count = 0;
   if (!r.try_get_varint(chunk_rows) || !r.try_get_varint(chunk_count))

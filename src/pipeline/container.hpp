@@ -32,9 +32,9 @@ namespace aesz::pipeline {
 /// field; `abs-bound` is the absolute tolerance the encoder resolved it to
 /// and enforced on EVERY chunk (the max-over-chunks guarantee: if each
 /// chunk satisfies the absolute bound, so does the assembled field).
-/// Chunk geometry is validated against the declared dims before any
-/// allocation, mirroring the overflow checks of the v2 codec header
-/// (sz::read_header).
+/// The magic, version, rank/dims and eb fields follow the shared header
+/// grammar and are parsed by its readers (sz/common.hpp). Chunk geometry
+/// is validated against the declared dims before any allocation.
 
 /// "AEPC" in little-endian byte order.
 constexpr std::uint32_t kContainerMagic = 0x43504541u;

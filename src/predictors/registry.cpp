@@ -258,4 +258,55 @@ Expected<std::string> CodecRegistry::identify(
                        "stream magic matches no registered codec");
 }
 
+Expected<std::unique_ptr<Compressor>> make_inner(const CodecFactory& factory,
+                                                 const std::string& name,
+                                                 int rank, bool require_rank) {
+  std::unique_ptr<Compressor> codec;
+  if (factory) {
+    codec = factory(name, rank);
+    if (!codec)
+      return Status::error(ErrCode::kUnsupported,
+                           "codec factory returned null for '" + name + "'");
+  } else {
+    auto built = CodecRegistry::instance().create(name, rank);
+    if (!built.ok()) return built.status();
+    codec = std::move(*built);
+  }
+  if (require_rank && !codec->supports_rank(rank))
+    return Status::error(ErrCode::kUnsupported,
+                         "codec '" + name + "' does not support rank " +
+                             std::to_string(rank));
+  return codec;
+}
+
+Field residual_of(const Field& f, const Field& ref) {
+  Field residual(f.dims());
+  auto rv = residual.values();
+  auto fv = f.values();
+  auto refv = ref.values();
+  for (std::size_t i = 0; i < rv.size(); ++i) rv[i] = fv[i] - refv[i];
+  return residual;
+}
+
+Status decode_and_fold(Compressor& codec,
+                       std::span<const std::uint8_t> payload,
+                       const Dims& dims, bool residual, Field& ref) {
+  auto dec = codec.decompress(payload);
+  if (!dec.ok()) return dec.status();
+  if (dec->dims() != dims)
+    return Status::error(ErrCode::kCorruptStream,
+                         "decoded payload dims mismatch");
+  if (!residual) {
+    ref = std::move(*dec);
+    return {};
+  }
+  if (ref.dims() != dims)
+    return Status::error(ErrCode::kCorruptStream,
+                         "residual payload without a reference");
+  auto out = ref.values();
+  auto res = dec->values();
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] += res[i];
+  return {};
+}
+
 }  // namespace aesz

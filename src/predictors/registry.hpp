@@ -92,4 +92,39 @@ class CodecRegistry {
   std::deque<CodecInfo> codecs_;
 };
 
+// ---------------------------------------------------------------------------
+// Inner-codec plumbing of the residual containers (`temporal:` and
+// `progressive:`). Both code a field as an intra payload followed by
+// residuals against the DECODED reference, so encoder and decoder chains
+// stay bit-identical; these are the one copy of each step they share.
+
+/// Builds the inner codec for a given field rank. Empty = the registry's
+/// create(name, rank); callers with out-of-registry configuration (an
+/// AE-SZ instance loaded from a trained model file) supply their own.
+using CodecFactory =
+    std::function<std::unique_ptr<Compressor>(const std::string& name,
+                                              int rank)>;
+
+/// Build an inner codec through `factory` or the registry. Fallible: an
+/// unknown name or a null factory result is kUnsupported, and so is a
+/// codec that does not support `rank` when `require_rank` is set (the
+/// `progressive:` registry wrapper passes false — registry create() must
+/// succeed at every rank, callers gate on supports_rank() afterwards).
+Expected<std::unique_ptr<Compressor>> make_inner(const CodecFactory& factory,
+                                                 const std::string& name,
+                                                 int rank,
+                                                 bool require_rank = true);
+
+/// The residual former: out[i] = f[i] - ref[i] in float32, element order.
+Field residual_of(const Field& f, const Field& ref);
+
+/// The decode-and-fold step: decode `payload`, require `dims`, then either
+/// replace `ref` with the decoded field (`residual` false: an intra
+/// payload) or add the decoded residual into it elementwise in float32
+/// (`residual` true). A residual with no reference of matching dims is
+/// kCorruptStream. On failure `ref` is left untouched.
+Status decode_and_fold(Compressor& codec,
+                       std::span<const std::uint8_t> payload,
+                       const Dims& dims, bool residual, Field& ref);
+
 }  // namespace aesz

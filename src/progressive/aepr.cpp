@@ -1,7 +1,6 @@
 #include "progressive/aepr.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <string>
 
 #include "sz/common.hpp"
@@ -12,36 +11,13 @@ namespace aesz::progressive {
 namespace {
 
 Status parse_header(ByteReader& r, StreamInfo& out) {
-  std::uint32_t magic = 0;
-  if (!r.try_get(magic))
-    return Status::error(ErrCode::kTruncated, "stream too short for magic");
-  if (magic != kStreamMagic)
-    return Status::error(ErrCode::kBadMagic, "not an AEPR progressive stream");
-  std::uint8_t version = 0;
-  if (!r.try_get(version))
-    return Status::error(ErrCode::kTruncated, "truncated AEPR header");
-  if (version != kFormatVersion && version != kFormatVersionV1)
-    return Status::error(ErrCode::kBadHeader, "unsupported AEPR version");
-  out.version = version;
-  std::span<const std::uint8_t> name;
-  if (!r.try_get_blob(name))
-    return Status::error(ErrCode::kTruncated, "truncated inner codec name");
-  if (name.empty() || name.size() > kMaxInnerName)
-    return Status::error(ErrCode::kBadHeader, "bad inner codec name length");
-  out.inner.assign(reinterpret_cast<const char*>(name.data()), name.size());
-  for (char c : out.inner) {
-    if (c < 0x20 || c > 0x7E)
-      return Status::error(ErrCode::kBadHeader,
-                           "non-printable inner codec name");
-  }
+  if (Status s = sz::read_magic_version(r, kStreamMagic, kFormatVersion,
+                                        kFormatVersionV1, out.version);
+      !s.ok())
+    return s;
+  if (Status s = sz::read_inner_name(r, out.inner); !s.ok()) return s;
   if (Status s = sz::read_dims_checked(r, out.dims); !s.ok()) return s;
-  std::uint8_t mode = 0;
-  double value = 0.0;
-  if (!r.try_get(mode) || !r.try_get(value))
-    return Status::error(ErrCode::kTruncated, "truncated error bound");
-  if (mode > static_cast<std::uint8_t>(EbMode::kPSNR))
-    return Status::error(ErrCode::kBadHeader, "bad error-bound mode");
-  out.eb = ErrorBound(static_cast<EbMode>(mode), value);
+  if (Status s = sz::read_error_bound(r, out.eb); !s.ok()) return s;
   if (!out.eb.usable())
     return Status::error(ErrCode::kBadHeader, "unusable error bound");
   if (!r.try_get(out.value_range))
@@ -96,10 +72,7 @@ Status parse_layer_table(ByteReader& r, StreamInfo& out) {
 }  // namespace
 
 bool is_progressive(std::span<const std::uint8_t> stream) {
-  std::uint32_t magic = 0;
-  if (stream.size() < sizeof(magic)) return false;
-  std::memcpy(&magic, stream.data(), sizeof(magic));
-  return magic == kStreamMagic;
+  return sz::has_magic(stream, kStreamMagic);
 }
 
 Expected<std::string> peek_inner(std::span<const std::uint8_t> stream) {
@@ -113,7 +86,7 @@ std::vector<std::uint8_t> write_stream(const std::string& inner,
                                        const Dims& dims, const ErrorBound& eb,
                                        double value_range,
                                        std::span<const LayerInfo> layers) {
-  AESZ_CHECK_ARG(!inner.empty() && inner.size() <= kMaxInnerName,
+  AESZ_CHECK_ARG(!inner.empty() && inner.size() <= sz::kMaxInnerName,
                  "bad inner codec name length");
   AESZ_CHECK_ARG(dims.rank >= 1 && dims.rank <= 3, "bad rank");
   AESZ_CHECK_ARG(eb.usable(), "unusable error bound");
@@ -124,12 +97,9 @@ std::vector<std::uint8_t> write_stream(const std::string& inner,
   ByteWriter w;
   w.put(kStreamMagic);
   w.put(kFormatVersion);
-  w.put_blob({reinterpret_cast<const std::uint8_t*>(inner.data()),
-              inner.size()});
-  w.put(static_cast<std::uint8_t>(dims.rank));
-  for (int i = 0; i < dims.rank; ++i) w.put_varint(dims[i]);
-  w.put(static_cast<std::uint8_t>(eb.mode()));
-  w.put(eb.value());
+  sz::write_inner_name(w, inner);
+  sz::write_dims(w, dims);
+  sz::write_error_bound(w, eb);
   w.put(value_range);
   w.put_varint(layers.size());
   std::size_t offset = 0;

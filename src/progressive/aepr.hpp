@@ -52,7 +52,9 @@ namespace aesz::progressive {
 /// ending mid-layer is kTruncated; bytes past the last declared layer are
 /// kCorruptStream.
 ///
-/// Hostile-input discipline matches the AEPC/AETC containers: every
+/// The header's magic, version, name, rank/dims and eb fields are parsed
+/// by the shared header readers (sz/common.hpp). Hostile-input discipline
+/// matches the AEPC/AETC containers: every
 /// length is bounds-checked against the remaining bytes before any
 /// allocation, the layer count is capped, malformed offsets/lengths/
 /// bounds map to typed statuses — never an out-of-bounds read or
@@ -62,9 +64,6 @@ namespace aesz::progressive {
 constexpr std::uint32_t kStreamMagic = 0x52504541u;
 constexpr std::uint8_t kFormatVersion = 2;
 constexpr std::uint8_t kFormatVersionV1 = 1;  // pre-checksum, read-only
-
-/// Cap on the inner-codec-name blob (mirrors temporal::kMaxInnerName).
-constexpr std::size_t kMaxInnerName = 256;
 
 /// Cap on the declared layer count. A geometric bound ladder reaches
 /// float precision in far fewer steps; more layers is a hostile header.

@@ -3,53 +3,13 @@
 #include <cmath>
 #include <utility>
 
-#include "predictors/registry.hpp"
+#include "sz/common.hpp"
 #include "util/error.hpp"
 
 namespace aesz::progressive {
 
-namespace {
-
-/// Build the inner codec through the caller's factory or the registry
-/// (the temporal subsystem's make_inner contract). `require_rank` makes
-/// an unsupported rank a hard error; the ProgressiveCompressor ctor
-/// passes false because registry create() must succeed for every
-/// (name, rank) — callers gate on supports_rank() afterwards.
-Expected<std::unique_ptr<Compressor>> make_inner(const CodecFactory& factory,
-                                                 const std::string& name,
-                                                 int rank,
-                                                 bool require_rank = true) {
-  std::unique_ptr<Compressor> codec;
-  if (factory) {
-    codec = factory(name, rank);
-    if (!codec)
-      return Status::error(ErrCode::kUnsupported,
-                           "codec factory returned null for '" + name + "'");
-  } else {
-    auto built = CodecRegistry::instance().create(name, rank);
-    if (!built.ok()) return built.status();
-    codec = std::move(*built);
-  }
-  if (require_rank && !codec->supports_rank(rank))
-    return Status::error(ErrCode::kUnsupported,
-                         "codec '" + name + "' does not support rank " +
-                             std::to_string(rank));
-  return codec;
-}
-
-std::unique_ptr<Compressor> make_inner_or_throw(const CodecFactory& factory,
-                                                const std::string& name,
-                                                int rank,
-                                                bool require_rank = true) {
-  auto codec = make_inner(factory, name, rank, require_rank);
-  if (!codec.ok()) throw Error(codec.status().code, codec.status().str());
-  return std::move(*codec);
-}
-
-}  // namespace
-
 ProgressiveWriter::ProgressiveWriter(Options opt) : opt_(std::move(opt)) {
-  AESZ_CHECK_ARG(!opt_.inner.empty() && opt_.inner.size() <= kMaxInnerName,
+  AESZ_CHECK_ARG(!opt_.inner.empty() && opt_.inner.size() <= sz::kMaxInnerName,
                  "bad inner codec name length");
   AESZ_CHECK_ARG(opt_.layers >= 1 && opt_.layers <= kMaxLayers,
                  "layer count out of range");
@@ -60,7 +20,7 @@ ProgressiveWriter::ProgressiveWriter(Options opt) : opt_(std::move(opt)) {
 std::vector<std::uint8_t> ProgressiveWriter::encode(const Field& f,
                                                     const ErrorBound& eb) {
   AESZ_CHECK_ARG(eb.usable(), "unusable error bound");
-  auto codec = make_inner_or_throw(opt_.factory, opt_.inner, f.dims().rank);
+  auto codec = make_inner(opt_.factory, opt_.inner, f.dims().rank).value();
   if (!codec->error_bounded())
     throw Error(ErrCode::kUnsupported,
                 "progressive layering needs an error-bounded inner codec; '" +
@@ -81,30 +41,16 @@ std::vector<std::uint8_t> ProgressiveWriter::encode(const Field& f,
     const double rung =
         abs_eb * std::pow(opt_.factor,
                           static_cast<double>(opt_.layers - 1 - i));
-    if (i == 0) {
-      payloads[i] = codec->compress(f, ErrorBound::Abs(rung));
-    } else {
-      Field residual(f.dims());
-      auto tv = residual.values();
-      auto fv = f.values();
-      auto rv = recon.values();
-      for (std::size_t j = 0; j < tv.size(); ++j) tv[j] = fv[j] - rv[j];
-      payloads[i] = codec->compress(residual, ErrorBound::Abs(rung));
-    }
+    payloads[i] = i == 0 ? codec->compress(f, ErrorBound::Abs(rung))
+                         : codec->compress(residual_of(f, recon),
+                                           ErrorBound::Abs(rung));
     // Advance the reference with the decoded layer, never the original —
     // the encoder's chain must be bit-identical to any reader's.
-    auto dec = codec->decompress(payloads[i]);
-    if (!dec.ok() || dec->dims() != f.dims())
+    if (Status s =
+            decode_and_fold(*codec, payloads[i], f.dims(), i > 0, recon);
+        !s.ok())
       throw Error(ErrCode::kInternal,
-                  "self-decode of freshly encoded layer failed: " +
-                      (dec.ok() ? "dims mismatch" : dec.status().str()));
-    if (i == 0) {
-      recon = std::move(*dec);
-    } else {
-      auto rv = recon.values();
-      auto dv = dec->values();
-      for (std::size_t j = 0; j < rv.size(); ++j) rv[j] += dv[j];
-    }
+                  "self-decode of freshly encoded layer failed: " + s.str());
     table[i].abs_eb = rung;
     table[i].payload = payloads[i];
   }
@@ -137,17 +83,10 @@ Expected<Field> ProgressiveReader::read(std::size_t k) {
   }
   next_ = 0;  // invalid until the loop completes
   for (std::size_t i = start; i <= k; ++i) {
-    auto dec = codec_->decompress(info_.layers[i].payload);
-    if (!dec.ok()) return dec.status();
-    if (dec->dims() != info_.dims)
-      return Status::error(ErrCode::kCorruptStream, "layer dims mismatch");
-    if (i == 0) {
-      recon_ = std::move(*dec);
-    } else {
-      auto rv = recon_.values();
-      auto dv = dec->values();
-      for (std::size_t j = 0; j < rv.size(); ++j) rv[j] += dv[j];
-    }
+    if (Status s = decode_and_fold(*codec_, info_.layers[i].payload,
+                                   info_.dims, i > 0, recon_);
+        !s.ok())
+      return s;
   }
   next_ = k + 1;
   return recon_;
@@ -178,8 +117,9 @@ ProgressiveCompressor::ProgressiveCompressor(ProgressiveWriter::Options opt,
   // Lenient on rank by design: the registry contract is that create()
   // succeeds for every registered name at every rank, with callers
   // gating on supports_rank() — which delegates to the inner instance.
-  inner_ = make_inner_or_throw(opt_.factory, opt_.inner, rank,
-                               /*require_rank=*/false);
+  inner_ = make_inner(opt_.factory, opt_.inner, rank,
+                      /*require_rank=*/false)
+               .value();
   if (!inner_->error_bounded())
     throw Error(ErrCode::kUnsupported,
                 "progressive layering needs an error-bounded inner codec; '" +

@@ -5,7 +5,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
+#include <climits>
 #include <cinttypes>
 #include <cstring>
 
@@ -497,11 +500,26 @@ void EventServer::run() {
   if (accepting_)
     loop_.add(listener_.fd(), /*want_read=*/true, /*want_write=*/false);
 
+  // Abandoned stream sessions are freed even when no request arrives to
+  // trigger the opportunistic reap: the wait times out every half idle
+  // budget and a reap pass runs whenever that tick has come due.
+  using Clock = std::chrono::steady_clock;
+  const auto reap_every = std::chrono::milliseconds(std::clamp<std::uint64_t>(
+      server_.options().session_idle_ms / 2, 1, INT_MAX));
+  auto next_reap = Clock::now() + reap_every;
+
   std::vector<EventLoop::Event> events;
   bool stopping = false;
   for (;;) {
     events.clear();
-    loop_.wait(events, /*timeout_ms=*/-1);
+    const auto until_reap = std::chrono::ceil<std::chrono::milliseconds>(
+        next_reap - Clock::now());
+    loop_.wait(events, static_cast<int>(
+                           std::max<std::int64_t>(until_reap.count(), 0)));
+    if (const auto now = Clock::now(); now >= next_reap) {
+      (void)server_.reap_idle_sessions();
+      next_reap = now + reap_every;
+    }
     for (const EventLoop::Event& ev : events) {
       if (ev.fd == wake_rd) {
         std::uint8_t sink[256];

@@ -84,6 +84,11 @@ class EventLoop {
 /// live in the Server's MetricsRegistry (Server::metrics()), so one stats
 /// or Prometheus metrics frame covers both layers through a single
 /// snapshot.
+///
+/// The loop also owns the Server's idle-session reaping clock: its wait
+/// times out every half Server::Options::session_idle_ms and runs
+/// Server::reap_idle_sessions(), so sessions a client abandoned are freed
+/// even when no further request arrives.
 class EventServer {
  public:
   struct Options {

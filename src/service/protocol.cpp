@@ -115,24 +115,6 @@ Status read_string(ByteReader& r, std::size_t cap, const char* what,
   return {};
 }
 
-Status read_error_bound(ByteReader& r, ErrorBound& out) {
-  std::uint8_t mode = 0;
-  double value = 0.0;
-  if (!r.try_get(mode) || !r.try_get(value))
-    return Status::error(ErrCode::kTruncated, "truncated error bound");
-  if (mode > static_cast<std::uint8_t>(EbMode::kPSNR))
-    return Status::error(ErrCode::kBadHeader, "bad error-bound mode");
-  if (!std::isfinite(value))
-    return Status::error(ErrCode::kBadHeader, "bad error-bound value");
-  out = ErrorBound(static_cast<EbMode>(mode), value);
-  return {};
-}
-
-void write_dims(ByteWriter& w, const Dims& d) {
-  w.put(static_cast<std::uint8_t>(d.rank));
-  for (int i = 0; i < d.rank; ++i) w.put_varint(d[i]);
-}
-
 }  // namespace
 
 // -------------------------------------------------------------- encoding --
@@ -142,9 +124,8 @@ std::vector<std::uint8_t> encode_compress_request(const CompressRequest& r) {
   write_header(w, Op::kCompressRequest);
   w.put_blob({reinterpret_cast<const std::uint8_t*>(r.codec.data()),
               r.codec.size()});
-  w.put(static_cast<std::uint8_t>(r.eb.mode()));
-  w.put(r.eb.value());
-  write_dims(w, r.dims);
+  sz::write_error_bound(w, r.eb);
+  sz::write_dims(w, r.dims);
   w.put_blob(r.field);
   return w.take();
 }
@@ -184,7 +165,7 @@ std::vector<std::uint8_t> encode_decompress_response(
     const DecompressResponse& r) {
   ByteWriter w;
   write_header(w, Op::kDecompressResponse);
-  write_dims(w, r.dims);
+  sz::write_dims(w, r.dims);
   w.put_blob(r.field);
   return w.take();
 }
@@ -230,18 +211,13 @@ std::vector<std::uint8_t> encode_error_response(const ErrorResponse& r) {
 
 Expected<Op> peek_op(std::span<const std::uint8_t> frame) {
   ByteReader r(frame);
-  std::uint32_t magic = 0;
-  if (!r.try_get(magic))
-    return Status::error(ErrCode::kTruncated, "frame too short for magic");
-  if (magic != kFrameMagic)
-    return Status::error(ErrCode::kBadMagic, "frame magic mismatch");
   std::uint8_t version = 0, raw_op = 0;
-  if (!r.try_get(version) || !r.try_get(raw_op))
+  if (Status s = sz::read_magic_version(r, kFrameMagic, kProtocolVersion,
+                                        kProtocolVersion, version);
+      !s.ok())
+    return s;
+  if (!r.try_get(raw_op))
     return Status::error(ErrCode::kTruncated, "truncated frame header");
-  if (version != kProtocolVersion)
-    return Status::error(ErrCode::kBadHeader,
-                         "unsupported protocol version " +
-                             std::to_string(version));
   if (!known_op(raw_op))
     return Status::error(ErrCode::kBadHeader,
                          "unknown opcode " + std::to_string(raw_op));
@@ -257,7 +233,7 @@ Expected<CompressRequest> parse_compress_request(
   if (Status s = read_string(r, kMaxCodecName, "codec name", out.codec);
       !s.ok())
     return s;
-  if (Status s = read_error_bound(r, out.eb); !s.ok()) return s;
+  if (Status s = sz::read_error_bound(r, out.eb); !s.ok()) return s;
   if (Status s = sz::read_dims_checked(r, out.dims); !s.ok()) return s;
   if (!r.try_get_blob(out.field))
     return Status::error(ErrCode::kTruncated, "truncated field payload");
@@ -403,9 +379,8 @@ std::vector<std::uint8_t> encode_open_stream_request(
   write_header(w, Op::kOpenStreamRequest);
   w.put_blob({reinterpret_cast<const std::uint8_t*>(r.codec.data()),
               r.codec.size()});
-  w.put(static_cast<std::uint8_t>(r.eb.mode()));
-  w.put(r.eb.value());
-  write_dims(w, r.dims);
+  sz::write_error_bound(w, r.eb);
+  sz::write_dims(w, r.dims);
   w.put_varint(r.gop);
   return w.take();
 }
@@ -451,7 +426,7 @@ std::vector<std::uint8_t> encode_read_timestep_response(
     const ReadTimestepResponse& r) {
   ByteWriter w;
   write_header(w, Op::kReadTimestepResponse);
-  write_dims(w, r.dims);
+  sz::write_dims(w, r.dims);
   w.put_blob(r.field);
   return w.take();
 }
@@ -484,7 +459,7 @@ Expected<OpenStreamRequest> parse_open_stream_request(
     return s;
   if (out.codec.empty())
     return Status::error(ErrCode::kBadHeader, "empty codec name");
-  if (Status s = read_error_bound(r, out.eb); !s.ok()) return s;
+  if (Status s = sz::read_error_bound(r, out.eb); !s.ok()) return s;
   if (Status s = sz::read_dims_checked(r, out.dims); !s.ok()) return s;
   if (!r.try_get_varint(out.gop))
     return Status::error(ErrCode::kTruncated, "truncated gop");
@@ -614,8 +589,7 @@ std::vector<std::uint8_t> encode_read_partial_request(
   if (r.mode == PartialMode::kByteBudget) {
     w.put_varint(r.budget);
   } else {
-    w.put(static_cast<std::uint8_t>(r.bound.mode()));
-    w.put(r.bound.value());
+    sz::write_error_bound(w, r.bound);
   }
   return w.take();
 }
@@ -651,7 +625,7 @@ Expected<ReadPartialRequest> parse_read_partial_request(
     if (!r.try_get_varint(out.budget))
       return Status::error(ErrCode::kTruncated, "truncated byte budget");
   } else {
-    if (Status s = read_error_bound(r, out.bound); !s.ok()) return s;
+    if (Status s = sz::read_error_bound(r, out.bound); !s.ok()) return s;
     if (!out.bound.usable())
       return Status::error(ErrCode::kBadHeader, "unusable target bound");
   }

@@ -19,6 +19,7 @@
 #include "pipeline/parallel_compressor.hpp"
 #include "predictors/registry.hpp"
 #include "progressive/progressive.hpp"
+#include "sz/common.hpp"
 #include "util/bytestream.hpp"
 
 namespace aesz::service {
@@ -44,10 +45,11 @@ bool is_aesz_name(const std::string& lowered) {
   return lowered == "ae-sz" || lowered == "aesz";
 }
 
-/// Rank declared by a compressed stream's own header (shared v2 codec
-/// header, or the container header for parallel streams) — so a cached
-/// decompress codec is built at the rank the stream needs, not a guess.
-/// Falls back to `fallback` when the prefix is too short or out of range.
+/// Rank declared by a compressed stream's own header (the shared codec
+/// header, or the container header for parallel/progressive streams) — so
+/// a cached decompress codec is built at the rank the stream needs, not a
+/// guess. Falls back to `fallback` when the prefix is too short or out of
+/// range.
 int peek_rank(std::span<const std::uint8_t> stream, int fallback) {
   ByteReader r(stream);
   std::uint32_t magic = 0;
@@ -58,12 +60,12 @@ int peek_rank(std::span<const std::uint8_t> stream, int fallback) {
     if (!r.try_get(inner)) return fallback;
   } else if (magic == progressive::kStreamMagic) {
     // AEPR carries its inner codec NAME before the shared rank byte.
-    std::uint64_t name_len = 0;
-    std::span<const std::uint8_t> name;
-    if (!r.try_get_varint(name_len) ||
-        name_len > progressive::kMaxInnerName ||
-        !r.try_get_bytes(static_cast<std::size_t>(name_len), name))
-      return fallback;
+    std::string name;
+    if (!sz::read_inner_name(r, name).ok()) return fallback;
+  } else if (version == sz::kFormatVersion) {
+    // Codec header v3: the whole-payload checksum precedes the rank byte.
+    std::uint32_t crc = 0;
+    if (!r.try_get(crc)) return fallback;
   }
   if (!r.try_get(rank)) return fallback;
   return (rank >= 1 && rank <= 3) ? rank : fallback;
@@ -697,39 +699,7 @@ StatsResponse Server::snapshot() const {
       }
     }
   }
-  {
-    // Registration order, so repeated stats frames list providers
-    // deterministically.
-    std::lock_guard<std::mutex> lock(extra_mu_);
-    for (const auto& [name, fn] : extra_stats_)
-      if (fn) fn(out);
-  }
   return out;
-}
-
-void Server::register_stats(const std::string& name,
-                            std::function<void(StatsResponse&)> fn) {
-  std::lock_guard<std::mutex> lock(extra_mu_);
-  for (auto it = extra_stats_.begin(); it != extra_stats_.end(); ++it) {
-    if (it->first == name) {
-      if (fn)
-        it->second = std::move(fn);  // replace in place, keep the position
-      else
-        extra_stats_.erase(it);
-      return;
-    }
-  }
-  if (fn) extra_stats_.emplace_back(name, std::move(fn));
-}
-
-void Server::unregister_stats(const std::string& name) {
-  std::lock_guard<std::mutex> lock(extra_mu_);
-  for (auto it = extra_stats_.begin(); it != extra_stats_.end(); ++it) {
-    if (it->first == name) {
-      extra_stats_.erase(it);
-      return;
-    }
-  }
 }
 
 std::vector<std::uint8_t> Server::handle_stats() {

@@ -73,8 +73,9 @@ class Server {
     std::uint64_t batch_delay_us = 1000;
     /// Stream sessions idle longer than this (no op addressed them) are
     /// reaped: their state is freed and their id answers kNoSession from
-    /// then on. Reaping runs opportunistically on session/stats requests
-    /// (no dedicated timer thread); reap_idle_sessions() forces a pass.
+    /// then on. Reaping runs on session/stats/metrics requests and on the
+    /// EventServer's idle tick (no dedicated timer thread);
+    /// reap_idle_sessions() forces a pass.
     std::uint64_t session_idle_ms = 60000;
     /// Admission cap on concurrently open stream sessions; open-stream
     /// beyond it answers kOverloaded.
@@ -122,8 +123,7 @@ class Server {
 
   /// Snapshot of every registered metric (the same data a stats frame
   /// reports): counters and gauges as named rows, histograms as
-  /// `<name>_count/_sum/_p50/_p90/_p99` summary rows, then any extra rows
-  /// from registered providers.
+  /// `<name>_count/_sum/_p50/_p90/_p99` summary rows.
   StatsResponse snapshot() const;
 
   /// The registry every layer's instruments live in. The EventServer
@@ -132,14 +132,7 @@ class Server {
   /// References obtained from it stay valid for the Server's lifetime.
   obs::MetricsRegistry& metrics() { return metrics_; }
 
-  /// Register a named provider of extra stats rows appended to
-  /// snapshot() — a thin adapter for front ends that want rows without
-  /// registry instruments. Re-registering a name replaces its provider in
-  /// place; providers run in REGISTRATION order (first registered, first
-  /// emitted) so stats frames stay deterministic.
-  void register_stats(const std::string& name,
-                      std::function<void(StatsResponse&)> fn);
-  void unregister_stats(const std::string& name);
+  const Options& options() const { return opt_; }
 
   /// Force one idle-session reap pass (normally run opportunistically on
   /// session and stats requests); returns how many sessions it freed.
@@ -248,12 +241,6 @@ class Server {
   std::deque<BatchJob> batch_queue_;
   bool batch_stop_ = false;
   std::thread batcher_;
-
-  mutable std::mutex extra_mu_;
-  // Registration order, NOT name order — snapshot() promises providers
-  // run first-registered-first.
-  std::vector<std::pair<std::string, std::function<void(StatsResponse&)>>>
-      extra_stats_;
 
   mutable std::mutex sessions_mu_;
   std::map<std::uint64_t, std::shared_ptr<StreamSession>> sessions_;

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <span>
+#include <string>
 
 #include "data/field.hpp"
 #include "predictors/error_bound.hpp"
@@ -43,8 +45,52 @@ struct StreamHeader {
   double abs_eb = 0.0;
 };
 
-/// Shared rank + dims parse/validation used by every header format in the
-/// repo (codec stream headers, the pipeline container, service frames):
+// Shared header grammar of every sealed format in the repo — codec
+// stream headers, the AEPC/AETC/AEPR containers and the service frames
+// all spell these fields the same way and parse them through the readers
+// below, so each validation rule lives in exactly one place:
+//
+//   magic u32 | version u8 | … | rank u8 | dims varint* |
+//   eb-mode u8 | eb-value f64
+//
+// Every reader is fallible and maps each malformed prefix to a typed
+// status (kTruncated, kBadMagic, kBadHeader) without reading out of
+// bounds or allocating.
+
+/// Cheap sniff: does `stream` lead with `magic`?
+inline bool has_magic(std::span<const std::uint8_t> stream,
+                      std::uint32_t magic) {
+  std::uint32_t m = 0;
+  if (stream.size() < sizeof(m)) return false;
+  std::memcpy(&m, stream.data(), sizeof(m));
+  return m == magic;
+}
+
+/// magic u32 | version u8, accepting the `current` version and one
+/// `legacy` read-only revision (formats with a single revision pass the
+/// same value twice). The version read is returned through `version`.
+inline Status read_magic_version(ByteReader& r, std::uint32_t magic,
+                                 std::uint8_t current, std::uint8_t legacy,
+                                 std::uint8_t& version) {
+  std::uint32_t m = 0;
+  if (!r.try_get(m))
+    return Status::error(ErrCode::kTruncated, "stream too short for magic");
+  if (m != magic)
+    return Status::error(ErrCode::kBadMagic, "stream magic mismatch");
+  if (!r.try_get(version))
+    return Status::error(ErrCode::kTruncated, "truncated version");
+  if (version != current && version != legacy)
+    return Status::error(ErrCode::kBadHeader,
+                         "unsupported format version " +
+                             std::to_string(version));
+  return {};
+}
+
+inline void write_dims(ByteWriter& w, const Dims& d) {
+  w.put(static_cast<std::uint8_t>(d.rank));
+  for (int i = 0; i < d.rank; ++i) w.put_varint(d[i]);
+}
+
 /// rank ∈ [1,3], nonzero dims, product capped at kMaxTotalElems with
 /// overflow-safe arithmetic — all checked before any allocation.
 inline Status read_dims_checked(ByteReader& r, Dims& out) {
@@ -67,7 +113,53 @@ inline Status read_dims_checked(ByteReader& r, Dims& out) {
   return {};
 }
 
-/// Shared stream-header layout of all codecs in the repo (v3):
+inline void write_error_bound(ByteWriter& w, const ErrorBound& eb) {
+  w.put(static_cast<std::uint8_t>(eb.mode()));
+  w.put(eb.value());
+}
+
+/// eb-mode u8 | eb-value f64: a known mode and a finite value. Whether
+/// the bound must also be usable (positive) is the caller's rule.
+inline Status read_error_bound(ByteReader& r, ErrorBound& out) {
+  std::uint8_t mode = 0;
+  double value = 0.0;
+  if (!r.try_get(mode) || !r.try_get(value))
+    return Status::error(ErrCode::kTruncated, "truncated error bound");
+  if (mode > static_cast<std::uint8_t>(EbMode::kPSNR))
+    return Status::error(ErrCode::kBadHeader, "bad error-bound mode");
+  if (!std::isfinite(value))
+    return Status::error(ErrCode::kBadHeader, "bad error-bound value");
+  out = ErrorBound(static_cast<EbMode>(mode), value);
+  return {};
+}
+
+/// Cap on an inner-codec-name blob: longer is a hostile header, not a
+/// registry lookup.
+constexpr std::size_t kMaxInnerName = 256;
+
+inline void write_inner_name(ByteWriter& w, const std::string& name) {
+  w.put_blob({reinterpret_cast<const std::uint8_t*>(name.data()),
+              name.size()});
+}
+
+/// Inner-codec-name blob of the AETC/AEPR headers: 1..kMaxInnerName
+/// printable ASCII bytes (the registry spelling of the wrapped codec).
+inline Status read_inner_name(ByteReader& r, std::string& out) {
+  std::span<const std::uint8_t> name;
+  if (!r.try_get_blob(name))
+    return Status::error(ErrCode::kTruncated, "truncated inner codec name");
+  if (name.empty() || name.size() > kMaxInnerName)
+    return Status::error(ErrCode::kBadHeader, "bad inner codec name length");
+  out.assign(reinterpret_cast<const char*>(name.data()), name.size());
+  for (char c : out) {
+    if (c < 0x20 || c > 0x7E)
+      return Status::error(ErrCode::kBadHeader,
+                           "non-printable inner codec name");
+  }
+  return {};
+}
+
+/// Codec stream header (v3), the shared grammar plus two codec fields:
 ///   magic u32 | version u8 | crc32c u32 (over bytes 9..end) | rank u8 |
 ///   dims varint* | eb-mode u8 | eb-value f64 | abs-bound f64
 /// The crc field is written as a zero placeholder here; the codec calls
@@ -77,10 +169,8 @@ inline void write_header(ByteWriter& w, std::uint32_t magic, const Dims& d,
   w.put(magic);
   w.put(kFormatVersion);
   w.put(std::uint32_t{0});  // crc placeholder, patched by seal_stream()
-  w.put(static_cast<std::uint8_t>(d.rank));
-  for (int i = 0; i < d.rank; ++i) w.put_varint(d[i]);
-  w.put(static_cast<std::uint8_t>(eb.mode()));
-  w.put(eb.value());
+  write_dims(w, d);
+  write_error_bound(w, eb);
   w.put(abs_eb);
 }
 
@@ -101,16 +191,11 @@ inline std::vector<std::uint8_t> seal_stream(std::vector<std::uint8_t> s) {
 /// bound) maps to a typed status without reading out of bounds.
 inline Expected<StreamHeader> read_header(ByteReader& r,
                                           std::uint32_t expected_magic) {
-  std::uint32_t magic = 0;
-  if (!r.try_get(magic))
-    return Status::error(ErrCode::kTruncated, "stream too short for magic");
-  if (magic != expected_magic)
-    return Status::error(ErrCode::kBadMagic, "stream magic mismatch");
   std::uint8_t version = 0;
-  if (!r.try_get(version))
-    return Status::error(ErrCode::kTruncated, "truncated header");
-  if (version != kFormatVersion && version != kLegacyFormatVersion)
-    return Status::error(ErrCode::kBadHeader, "unsupported stream version");
+  if (Status s = read_magic_version(r, expected_magic, kFormatVersion,
+                                    kLegacyFormatVersion, version);
+      !s.ok())
+    return s;
   if (version == kFormatVersion) {
     // v3: verify the whole-payload checksum before trusting a single
     // field past it. This one check covers every codec — they all parse
@@ -124,15 +209,11 @@ inline Expected<StreamHeader> read_header(ByteReader& r,
   }
   StreamHeader h;
   if (Status s = read_dims_checked(r, h.dims); !s.ok()) return s;
-  std::uint8_t mode = 0;
-  double eb_value = 0.0;
-  if (!r.try_get(mode) || !r.try_get(eb_value) || !r.try_get(h.abs_eb))
-    return Status::error(ErrCode::kTruncated, "truncated bound fields");
-  if (mode > static_cast<std::uint8_t>(EbMode::kPSNR))
-    return Status::error(ErrCode::kBadHeader, "bad error-bound mode");
-  if (!std::isfinite(eb_value) || !std::isfinite(h.abs_eb) || h.abs_eb < 0)
-    return Status::error(ErrCode::kBadHeader, "bad error-bound value");
-  h.eb = ErrorBound(static_cast<EbMode>(mode), eb_value);
+  if (Status s = read_error_bound(r, h.eb); !s.ok()) return s;
+  if (!r.try_get(h.abs_eb))
+    return Status::error(ErrCode::kTruncated, "truncated resolved bound");
+  if (!std::isfinite(h.abs_eb) || h.abs_eb < 0)
+    return Status::error(ErrCode::kBadHeader, "bad resolved bound");
   return h;
 }
 

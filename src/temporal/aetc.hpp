@@ -57,11 +57,13 @@ namespace aesz::temporal {
 /// (magic + length), validates every index entry against the actual
 /// record bytes, and rejects any inconsistency with a typed status.
 ///
-/// Hostile-input discipline matches the AEPC container (pipeline/
-/// container.hpp): every length is bounds-checked against the remaining
-/// bytes before any allocation, offsets must be strictly increasing and
-/// in-bounds, and malformed prefixes map to typed statuses — never an
-/// out-of-bounds read or unbounded allocation.
+/// The header's magic, version, name, rank/dims and eb fields are parsed
+/// by the shared header readers (sz/common.hpp). Hostile-input discipline
+/// matches the AEPC container (pipeline/container.hpp): every length is
+/// bounds-checked against the remaining bytes before any allocation,
+/// offsets must be strictly increasing and in-bounds, and malformed
+/// prefixes map to typed statuses — never an out-of-bounds read or
+/// unbounded allocation.
 
 /// "AETC" / "AETI" in little-endian byte order.
 constexpr std::uint32_t kStreamMagic = 0x43544541u;
@@ -73,10 +75,6 @@ constexpr std::uint8_t kRecordMarker = 0xA7;
 /// Timestep coding modes.
 constexpr std::uint8_t kModeIntra = 0;
 constexpr std::uint8_t kModeResidual = 1;
-
-/// Cap on the inner-codec-name blob — longer is a hostile header, not a
-/// registry lookup (mirrors service::kMaxCodecName).
-constexpr std::size_t kMaxInnerName = 256;
 
 /// Cap on the keyframe cadence a header may declare; anything larger is a
 /// hostile header, not a tuning choice.

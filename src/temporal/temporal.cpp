@@ -4,37 +4,12 @@
 #include <cctype>
 #include <utility>
 
-#include "predictors/registry.hpp"
 #include "util/bytestream.hpp"
 #include "util/error.hpp"
 
 namespace aesz::temporal {
 
 namespace {
-
-/// Build the inner codec through the caller's factory or the registry.
-/// Fallible flavor (the open/read paths, where an unknown codec name is
-/// hostile input, not a programming error).
-Expected<std::unique_ptr<Compressor>> make_inner(const CodecFactory& factory,
-                                                 const std::string& name,
-                                                 int rank) {
-  std::unique_ptr<Compressor> codec;
-  if (factory) {
-    codec = factory(name, rank);
-    if (!codec)
-      return Status::error(ErrCode::kUnsupported,
-                           "codec factory returned null for '" + name + "'");
-  } else {
-    auto built = CodecRegistry::instance().create(name, rank);
-    if (!built.ok()) return built.status();
-    codec = std::move(*built);
-  }
-  if (!codec->supports_rank(rank))
-    return Status::error(ErrCode::kUnsupported,
-                         "codec '" + name + "' does not support rank " +
-                             std::to_string(rank));
-  return codec;
-}
 
 /// Re-derive a record's payload span from the record bytes (the writer
 /// keeps offsets only — payload spans into a growing body buffer would
@@ -73,17 +48,10 @@ Expected<Field> decode_at(Compressor& codec, const Dims& dims,
   if (!k.ok()) return k.status();
   Field ref;
   for (std::size_t i = *k; i <= t; ++i) {
-    auto dec = codec.decompress(record_payload(stream, recs[i]));
-    if (!dec.ok()) return dec.status();
-    if (dec->dims() != dims)
-      return Status::error(ErrCode::kCorruptStream, "record dims mismatch");
-    if (recs[i].mode == kModeIntra) {
-      ref = std::move(*dec);
-    } else {
-      auto out = ref.values();
-      auto res = dec->values();
-      for (std::size_t j = 0; j < out.size(); ++j) out[j] += res[j];
-    }
+    if (Status s = decode_and_fold(codec, record_payload(stream, recs[i]),
+                                   dims, recs[i].mode == kModeResidual, ref);
+        !s.ok())
+      return s;
   }
   return ref;
 }
@@ -135,20 +103,15 @@ TemporalCompressor::StepResult TemporalCompressor::compress_step(
                      dims_.str());
   StepResult out;
   out.abs_eb = eb_.absolute(f.value_range());
-  const bool keyframe =
-      !has_ref_ || step_ == 0 || (gop_ > 0 && step_ % gop_ == 0);
+  const bool keyframe = step_ == 0 || (gop_ > 0 && step_ % gop_ == 0);
   const bool try_residual = !keyframe && mode_ != Mode::kIntra;
 
   std::vector<std::uint8_t> residual_stream;
   if (try_residual) {
-    Field residual(dims_);
-    auto rv = residual.values();
-    auto fv = f.values();
-    auto ref = ref_.values();
-    for (std::size_t i = 0; i < rv.size(); ++i) rv[i] = fv[i] - ref[i];
     // Abs, not the stream bound: rel/psnr must stay relative to the
     // ORIGINAL frame's range, which out.abs_eb already resolved.
-    residual_stream = codec_->compress(residual, ErrorBound::Abs(out.abs_eb));
+    residual_stream = codec_->compress(residual_of(f, ref_),
+                                       ErrorBound::Abs(out.abs_eb));
   }
   if (keyframe || mode_ != Mode::kResidual) {
     std::vector<std::uint8_t> intra_stream = codec_->compress(f, eb_);
@@ -180,28 +143,16 @@ Expected<Field> TemporalCompressor::decode_step(
     std::uint8_t mode, std::span<const std::uint8_t> payload) {
   if (mode != kModeIntra && mode != kModeResidual)
     return Status::error(ErrCode::kCorruptStream, "bad record mode");
-  auto dec = codec_->decompress(payload);
-  if (!dec.ok()) return dec.status();
-  if (dec->dims() != dims_)
-    return Status::error(ErrCode::kCorruptStream, "record dims mismatch");
-  if (mode == kModeIntra) {
-    ref_ = std::move(*dec);
-  } else {
-    if (!has_ref_)
-      return Status::error(ErrCode::kCorruptStream,
-                           "residual record without a reference frame");
-    auto out = ref_.values();
-    auto res = dec->values();
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] += res[i];
-  }
-  has_ref_ = true;
+  if (Status s = decode_and_fold(*codec_, payload, dims_,
+                                 mode == kModeResidual, ref_);
+      !s.ok())
+    return s;
   ++step_;
   return ref_;
 }
 
 void TemporalCompressor::reset() {
   ref_ = Field();
-  has_ref_ = false;
   step_ = 0;
 }
 
@@ -209,7 +160,6 @@ void TemporalCompressor::restore(Field ref, std::size_t step) {
   AESZ_CHECK_ARG(ref.dims() == dims_, "restore dims mismatch");
   AESZ_CHECK_ARG(step > 0, "restore needs a decoded timestep");
   ref_ = std::move(ref);
-  has_ref_ = true;
   step_ = step;
 }
 
@@ -218,10 +168,9 @@ TemporalWriter::TemporalWriter(Dims dims, ErrorBound eb, Options opt) {
   dims_ = dims;
   eb_ = eb;
   gop_ = opt.gop;
-  auto codec = make_inner(opt.factory, inner_, dims.rank);
-  if (!codec.ok()) throw Error(codec.status().code, codec.status().str());
-  enc_ = std::make_unique<TemporalCompressor>(std::move(*codec), dims_, eb_,
-                                              gop_, opt.mode);
+  enc_ = std::make_unique<TemporalCompressor>(
+      make_inner(opt.factory, inner_, dims.rank).value(), dims_, eb_, gop_,
+      opt.mode);
   body_ = write_stream_header(inner_, dims_, eb_, gop_);
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -10,6 +9,7 @@
 #include "data/field.hpp"
 #include "predictors/compressor.hpp"
 #include "predictors/error_bound.hpp"
+#include "predictors/registry.hpp"
 #include "temporal/aetc.hpp"
 #include "util/expected.hpp"
 
@@ -24,14 +24,6 @@ enum class Mode : std::uint8_t {
 
 Expected<Mode> parse_mode(const std::string& spec);
 const char* mode_name(Mode m);
-
-/// Builds the inner codec for a given field rank. Defaults to
-/// CodecRegistry::create(name, rank); callers with out-of-registry
-/// configuration (an AE-SZ instance loaded from a trained model file)
-/// supply their own.
-using CodecFactory =
-    std::function<std::unique_ptr<Compressor>(const std::string& name,
-                                              int rank)>;
 
 /// Residual temporal codec over any registry compressor: timestep t is
 /// coded either intra (the inner codec stream of the frame itself) or as
@@ -102,8 +94,7 @@ class TemporalCompressor {
   ErrorBound eb_;
   std::size_t gop_;
   Mode mode_;
-  Field ref_;
-  bool has_ref_ = false;
+  Field ref_;  // decoded frame of timestep step_ - 1 (empty at step 0)
   std::size_t step_ = 0;
 };
 

@@ -18,14 +18,16 @@
 //      keeps writing legacy records, so one artifact never mixes formats.
 //
 // Blob provenance: the *Legacy blobs are codec-header v2 / AETC v1 /
-// AEPR v1 (pre-CRC32C, exactly as the checksum PR found them); the
-// current blobs are codec-header v3 / AETC v2 / AEPR v2.
+// AEPR v1 (pre-CRC32C, exactly as the checksum PR found them) and AEPC
+// v1 (the v2 blob with its chunk-table CRC32Cs dropped); the current
+// blobs are codec-header v3 / AEPC v2 / AETC v2 / AEPR v2.
 //
 // Regenerating after an intentional change: compress the same inputs
-// (value_noise_2d(12,16,3,4.0,123[,0.08*t]) under abs:1e-3, AETC with
-// inner SZ2.1 / gop 2 / auto mode, AEPR with inner SZ2.1 / the default
-// 3-layer factor-4 ladder) and hex-dump the streams. Never regenerate
-// the legacy blobs — they pin bytes already in the wild.
+// (value_noise_2d(12,16,3,4.0,123[,0.08*t]) under abs:1e-3, AEPC as
+// parallel:SZ2.1 with 5-row chunks, AETC with inner SZ2.1 / gop 2 / auto
+// mode, AEPR with inner SZ2.1 / the default 3-layer factor-4 ladder) and
+// hex-dump the streams. Never regenerate the legacy blobs — they pin
+// bytes already in the wild.
 
 #include <gtest/gtest.h>
 
@@ -37,6 +39,8 @@
 
 #include "data/synth.hpp"
 #include "metrics/metrics.hpp"
+#include "pipeline/container.hpp"
+#include "pipeline/parallel_compressor.hpp"
 #include "predictors/registry.hpp"
 #include "progressive/progressive.hpp"
 #include "service/protocol.hpp"
@@ -116,6 +120,31 @@ constexpr char kGoldenAetcLegacy[] =
     "aa399dfe417cd0b753afbc050004010100000300fca9f1d24d62503f188b0301"
     "fca9f1d24d62503fa303c60100fca9f1d24d62503fe904890327000000414554"
     "49";
+
+// kGoldenAepcLegacy: 615 bytes — AEPC v1 (no chunk-table checksums):
+// kGoldenAepc with every per-chunk CRC32C dropped and the version byte
+// set to 1. Inner streams are codec-header v3.
+constexpr char kGoldenAepcLegacy[] =
+    "414550430131325a53020c1000fca9f1d24d62503ffca9f1d24d62503f050305"
+    "dd0105d801028a0131325a53034984fe3702051000fca9f1d24d62503ffca9f1"
+    "d24d62503f0401010200090606e008bc01980200aa01c401225084810240f1fe"
+    "0107310703070e0704060706010606060106020601060906010603050d0b0306"
+    "01060106040501060b050d00041d000623000509010504050104051303010605"
+    "05150102050f00081705080603060c05390004010105051f0006214307062406"
+    "05063c8fb75eabfaa50a3949934882c83187316d94b6c3fc4cf89ee284717ac6"
+    "8306bf0979bfd08aec66177eb691930656552c415bdaa09e4c3e8fffbd0f0000"
+    "040101000031325a5303682b9ad202051000fca9f1d24d62503ffca9f1d24d62"
+    "503f04010102000906069a0cbf01ef0100a501c0011e50a881023eaaff010605"
+    "0607060906010604060206030605060306020601070903010608050d00061101"
+    "0106170105060700040300043100040d00041f00080100041300051701050453"
+    "00044709010609060906030603050f4708060d061606120620063c7f6ede9b25"
+    "4a45ddbd36288d443871345e9927ad787641faaa71ea8fd31da80426114eaad4"
+    "5299376af052b0d96d850c807d20c5b0f46d9f3ea24e0600040101000031325a"
+    "53039e37c86c02021000fca9f1d24d62503ffca9f1d24d62503f040101020009"
+    "0606d20af102b1030058572a209482021d86ff0105080545050a050b05010402"
+    "0505050405050503050105020501050305020503040205072804050204030508"
+    "0502051f051c050105b50105147f8e158564d0cfe304416f770db6aac817ccc9"
+    "02000401010000";
 
 // kGoldenAeprLegacy: 472 bytes — AEPR v1 (no layer checksums), inner
 // codec-header v2, 3 layers, inner SZ2.1, factor-4 ladder (recorded
@@ -227,6 +256,30 @@ constexpr char kGoldenAepr[] =
     "c5e00f201cdde0614391182f009f28b7580a3ddab8c19f21be9d2652d2ccc15b"
     "aff9ce68c7d89ceab542000401010000";
 
+// kGoldenAepc: 627 bytes — AEPC v2 (per-chunk CRC32C in the table),
+// parallel:SZ2.1 with 5-row chunks: 3 chunks of 5, 5 and 2 rows.
+constexpr char kGoldenAepc[] =
+    "414550430231325a53020c1000fca9f1d24d62503ffca9f1d24d62503f050305"
+    "dd0119f4f5de05d801445a1235028a01dbb7dca831325a53034984fe37020510"
+    "00fca9f1d24d62503ffca9f1d24d62503f0401010200090606e008bc01980200"
+    "aa01c401225084810240f1fe0107310703070e07040607060106060601060206"
+    "01060906010603050d0b030601060106040501060b050d00041d000623000509"
+    "01050405010405130301060505150102050f00081705080603060c0539000401"
+    "0105051f000621430706240605063c8fb75eabfaa50a3949934882c83187316d"
+    "94b6c3fc4cf89ee284717ac68306bf0979bfd08aec66177eb691930656552c41"
+    "5bdaa09e4c3e8fffbd0f0000040101000031325a5303682b9ad202051000fca9"
+    "f1d24d62503ffca9f1d24d62503f04010102000906069a0cbf01ef0100a501c0"
+    "011e50a881023eaaff0106050607060906010604060206030605060306020601"
+    "070903010608050d000611010106170105060700040300043100040d00041f00"
+    "08010004130005170105045300044709010609060906030603050f4708060d06"
+    "1606120620063c7f6ede9b254a45ddbd36288d443871345e9927ad787641faaa"
+    "71ea8fd31da80426114eaad45299376af052b0d96d850c807d20c5b0f46d9f3e"
+    "a24e0600040101000031325a53039e37c86c02021000fca9f1d24d62503ffca9"
+    "f1d24d62503f0401010200090606d20af102b1030058572a209482021d86ff01"
+    "05080545050a050b050104020505050405050503050105020501050305020503"
+    "0402050728040502040305080502051f051c050105b50105147f8e158564d0cf"
+    "e304416f770db6aac817ccc902000401010000";
+
 std::vector<std::uint8_t> from_hex(const char* hex) {
   const std::string s(hex);
   EXPECT_EQ(s.size() % 2, 0u);
@@ -301,6 +354,50 @@ INSTANTIATE_TEST_SUITE_P(
         if (c == '.') c = '_';
       return n;
     });
+
+pipeline::ParallelCompressor golden_parallel() {
+  pipeline::ParallelCompressor::Options opt;
+  opt.inner = "SZ2.1";
+  opt.threads = 2;
+  opt.chunk_rows = 5;
+  return pipeline::ParallelCompressor(opt);
+}
+
+TEST(GoldenAepc, YesterdaysContainersStillDecodeInBound) {
+  const Field f = golden_field();
+  auto codec = golden_parallel();
+  for (const char* hex : {kGoldenAepcLegacy, kGoldenAepc}) {
+    const auto golden = from_hex(hex);
+    auto info = pipeline::read_container(golden);
+    ASSERT_TRUE(info.ok()) << info.status().str();
+    EXPECT_EQ(info->chunks.size(), 3u);
+    auto recon = codec.decompress(golden);
+    ASSERT_TRUE(recon.ok()) << recon.status().str();
+    ASSERT_EQ(recon->dims(), f.dims());
+    EXPECT_LE(metrics::max_abs_err(f.values(), recon->values()),
+              kEb * (1 + 1e-9));
+  }
+}
+
+TEST(GoldenAepc, TodaysWriterReproducesTheContainerByteForByte) {
+  const auto golden = from_hex(kGoldenAepc);
+  const auto now = golden_parallel().compress(golden_field(),
+                                              ErrorBound::Abs(kEb));
+  ASSERT_EQ(now.size(), golden.size())
+      << "AEPC stream size changed — format break without a version bump?";
+  EXPECT_EQ(now, golden);
+}
+
+TEST(GoldenAepc, FutureContainerVersionIsRefusedTyped) {
+  auto stream = from_hex(kGoldenAepc);
+  stream[4] = 0x63;  // AEPC puts the format version at byte 4 too
+  auto recon = golden_parallel().decompress(stream);
+  ASSERT_FALSE(recon.ok());
+  EXPECT_EQ(recon.status().code, ErrCode::kBadHeader) << recon.status().str();
+  // The identify() peek refuses identically.
+  EXPECT_EQ(pipeline::peek_inner_magic(stream).status().code,
+            ErrCode::kBadHeader);
+}
 
 TEST(GoldenAetc, YesterdaysArtifactStillDecodesInBound) {
   for (const char* hex : {kGoldenAetcLegacy, kGoldenAetc}) {

@@ -1,12 +1,13 @@
 // Stream-session service tests: the open/append/read/close lifecycle over
 // handle_frame, submit() ordering for pipelined appends, idle reaping,
-// typed kNoSession discipline, the registered-gauge stats API, and the
+// typed kNoSession discipline, the session stats rows, and the
 // acceptance path — a full session over TCP through the EventServer with
 // the returned artifact matching a locally built AETC stream byte for
 // byte.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstring>
@@ -328,9 +329,6 @@ TEST(SessionStats, CountersAndRegisteredGaugesReport) {
       svc::encode_append_timestep_request({id, field_bytes(f0)}));
   (void)server.handle_frame(svc::encode_read_timestep_request({id, 0}));
 
-  server.register_stats("zz_test", [](svc::StatsResponse& out) {
-    out.counters.emplace_back("test_gauge", 123);
-  });
   auto stats = svc::parse_stats_response(
       server.handle_frame(svc::encode_stats_request()));
   ASSERT_TRUE(stats.ok());
@@ -340,13 +338,6 @@ TEST(SessionStats, CountersAndRegisteredGaugesReport) {
   EXPECT_EQ(stats->get("sessions_opened"), 1u);
   EXPECT_EQ(stats->get("sessions_active"), 1u);
   EXPECT_EQ(stats->get("session_timesteps_stored"), 1u);
-  EXPECT_EQ(stats->get("test_gauge"), 123u);
-
-  server.unregister_stats("zz_test");
-  stats = svc::parse_stats_response(
-      server.handle_frame(svc::encode_stats_request()));
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->get("test_gauge"), 0u);
 
   (void)server.handle_frame(svc::encode_close_stream_request({id}));
   stats = svc::parse_stats_response(
@@ -513,6 +504,45 @@ TEST(SessionLoopback, FullSessionOverTcpThroughEventServer) {
     EXPECT_EQ(stream->append(f0).status().code, ErrCode::kNoSession);
     (*transport)->shutdown();
   }
+  events.stop();
+  loop.join();
+}
+
+/// An abandoned session on an otherwise quiet server is still freed: the
+/// EventServer's wait times out on the idle budget and runs a reap pass
+/// with no further request to trigger one (snapshot() itself never reaps).
+TEST(SessionLoopback, AbandonedSessionIsReapedOnAQuietServer) {
+  auto so = server_options();
+  so.session_idle_ms = 50;
+  svc::Server server(so);
+  auto bound = svc::TcpListener::bind(0);
+  ASSERT_TRUE(bound.ok()) << bound.status().str();
+  svc::EventServer events(server, **bound, {});
+  std::thread loop([&] { events.run(); });
+
+  [&] {
+    auto transport = svc::TcpTransport::connect("127.0.0.1",
+                                                (*bound)->port());
+    ASSERT_TRUE(transport.ok()) << transport.status().str();
+    ASSERT_TRUE((*transport)
+                    ->send_frame(svc::encode_open_stream_request(
+                        open_request(frame_at(0))))
+                    .ok());
+    auto resp = (*transport)->recv_frame();
+    ASSERT_TRUE(resp.ok()) << resp.status().str();
+    ASSERT_TRUE(svc::parse_open_stream_response(*resp).ok());
+
+    // Send nothing more; keep the connection open the whole time.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.snapshot().get("sessions_active") != 0 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const auto snap = server.snapshot();
+    EXPECT_EQ(snap.get("sessions_active"), 0u);
+    EXPECT_EQ(snap.get("sessions_reaped"), 1u);
+    (*transport)->shutdown();
+  }();
   events.stop();
   loop.join();
 }

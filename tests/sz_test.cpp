@@ -208,53 +208,6 @@ TEST(StreamFormat, HeaderRoundtrip) {
   EXPECT_EQ(h->abs_eb, 2.5e-4);
 }
 
-TEST(StreamFormat, HeaderMagicMismatchIsTypedError) {
-  ByteWriter w;
-  sz::write_header(w, 0x11111111u, Dims(4), ErrorBound::Rel(1e-3), 1e-3);
-  const auto bytes = w.take();
-  ByteReader r(bytes);
-  const auto h = sz::read_header(r, 0x22222222u);
-  ASSERT_FALSE(h.ok());
-  EXPECT_EQ(h.status().code, ErrCode::kBadMagic);
-}
-
-TEST(StreamFormat, HeaderRejectsHostileDims) {
-  // A header declaring 2^20 x 2^20 x 2^20 elements must be rejected before
-  // anything tries to allocate that field.
-  ByteWriter w;
-  w.put(0xABCD1234u);
-  w.put(sz::kFormatVersion);
-  w.put(std::uint32_t{0});  // crc placeholder
-  w.put(std::uint8_t{3});
-  for (int i = 0; i < 3; ++i) w.put_varint(std::uint64_t{1} << 20);
-  w.put(static_cast<std::uint8_t>(EbMode::kRel));
-  w.put(1e-3);
-  w.put(1e-3);
-  const auto bytes = sz::seal_stream(w.take());
-  ByteReader r(bytes);
-  const auto h = sz::read_header(r, 0xABCD1234u);
-  ASSERT_FALSE(h.ok());
-  EXPECT_EQ(h.status().code, ErrCode::kBadHeader);
-}
-
-TEST(StreamFormat, HeaderRejectsZeroDim) {
-  ByteWriter w;
-  w.put(0xABCD1234u);
-  w.put(sz::kFormatVersion);
-  w.put(std::uint32_t{0});  // crc placeholder
-  w.put(std::uint8_t{2});
-  w.put_varint(16);
-  w.put_varint(0);
-  w.put(static_cast<std::uint8_t>(EbMode::kRel));
-  w.put(1e-3);
-  w.put(1e-3);
-  const auto bytes = sz::seal_stream(w.take());
-  ByteReader r(bytes);
-  const auto h = sz::read_header(r, 0xABCD1234u);
-  ASSERT_FALSE(h.ok());
-  EXPECT_EQ(h.status().code, ErrCode::kBadHeader);
-}
-
 TEST(StreamFormat, HeaderTruncationIsTypedError) {
   ByteWriter w;
   sz::write_header(w, 0xABCD1234u, Dims(7, 9, 11), ErrorBound::Rel(1e-3),

@@ -308,26 +308,6 @@ TEST(AetcHostile, TruncatedFinalAppendRecoversToLastCompleteTimestep) {
   EXPECT_EQ((*reopened)->bytes(), artifact);
 }
 
-TEST(AetcHostile, HeaderFieldValidation) {
-  const auto artifact = small_artifact(2);
-  {
-    auto bad = artifact;
-    bad[4] = kFormatVersion + 1;  // future container version
-    auto parsed = read_stream(bad);
-    ASSERT_FALSE(parsed.ok());
-    EXPECT_EQ(parsed.status().code, ErrCode::kBadHeader);
-  }
-  {
-    auto bad = artifact;
-    bad[0] ^= 0xFF;  // magic
-    auto parsed = read_stream(bad);
-    ASSERT_FALSE(parsed.ok());
-    EXPECT_EQ(parsed.status().code, ErrCode::kBadMagic);
-    EXPECT_FALSE(is_temporal(bad));
-  }
-  EXPECT_TRUE(is_temporal(artifact));
-}
-
 TEST(AetcHostile, UnknownInnerCodecIsUnsupportedNotACrash) {
   const auto header = write_stream_header("no-such-codec", Dims(8, 8),
                                           ErrorBound::Rel(1e-3), 4);

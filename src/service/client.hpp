@@ -56,7 +56,7 @@ class Client {
   void set_deadline_ms(std::uint64_t ms) { deadline_ms_ = ms; }
 
   /// Checksum frames in both directions (transport-level CRC32C trailers,
-  /// protocol.hpp kFrameCrcFlag). Remembered across reconnects.
+  /// frame.hpp). Remembered across reconnects.
   void set_frame_crc(bool on) {
     want_crc_ = on;
     transport_->set_frame_crc(on);

@@ -17,8 +17,7 @@
 #endif
 
 #include "obs/log.hpp"
-#include "service/protocol.hpp"
-#include "util/crc32c.hpp"
+#include "service/frame.hpp"
 
 namespace aesz::service {
 
@@ -324,64 +323,55 @@ bool EventServer::admit_frame(Conn& c, std::vector<std::uint8_t> frame) {
 
 bool EventServer::parse_frames(Conn& c) {
   while (!c.closing) {
-    if (c.rbuf.size() < 4) return false;
-    std::uint32_t len = 0;
-    std::memcpy(&len, c.rbuf.data(), 4);
-    // Bit 31 marks a 4-byte CRC32C trailer after the body (protocol.hpp
-    // kFrameCrcFlag); masked off before the cap check so a checksummed
-    // max-size frame is not misread as hostile.
-    const bool has_crc = (len & kFrameCrcFlag) != 0;
-    len &= kFrameLenMask;
-    // Validated BEFORE any body allocation — a hostile 4-byte prefix
-    // cannot size a buffer. Framing cannot resynchronize after a bad
-    // prefix, so the typed error is this connection's final response.
-    if (len > kMaxFrameBytes) {
-      // closing is set BEFORE complete(): its opportunistic flush may
-      // close the connection (flushed in full, or peer reset), and `c`
-      // must not be touched after that.
-      c.closing = true;
-      c.rbuf.clear();
-      AESZ_LOG_WARN("event",
-                    "conn=%" PRIu64 " hostile frame prefix (%u bytes "
-                    "declared); closing after the error answer",
-                    c.id, len);
-      return complete(c, c.next_seq++,
-                      encode_error_response(
-                          {ErrCode::kCorruptStream,
-                           "declared frame length exceeds limit"}));
-    }
+    const std::span<const std::uint8_t> in(c.rbuf);
+    if (in.size() < kFramePrefixBytes) return false;
+    // Decided BEFORE any body allocation — a hostile 4-byte prefix cannot
+    // size a buffer. Framing cannot resynchronize after a bad prefix, so
+    // the typed error is this connection's final response.
+    const auto prefix = decode_frame_prefix(in.first<kFramePrefixBytes>());
+    if (!prefix.ok()) return fail_conn(c, prefix.status());
+    const std::size_t len = prefix->body_len;
     const std::size_t total =
-        4 + static_cast<std::size_t>(len) + (has_crc ? kFrameCrcBytes : 0);
-    if (c.rbuf.size() < total) return false;
-    std::vector<std::uint8_t> frame(c.rbuf.begin() + 4,
-                                    c.rbuf.begin() + 4 + len);
-    if (has_crc) {
-      std::uint32_t want = 0;
-      std::memcpy(&want, c.rbuf.data() + 4 + len, kFrameCrcBytes);
-      if (util::crc32c(frame) != want) {
-        // The length field was intact, so framing stays resynchronized:
-        // answer the damaged request with a typed error and keep the
-        // connection — the client's retry policy takes it from there.
-        c.rbuf.erase(c.rbuf.begin(),
-                     c.rbuf.begin() + static_cast<std::ptrdiff_t>(total));
-        AESZ_LOG_WARN("event",
-                      "conn=%" PRIu64 " frame checksum mismatch (%u bytes)",
-                      c.id, len);
-        if (complete(c, c.next_seq++,
-                     encode_error_response({ErrCode::kChecksumMismatch,
-                                            "frame checksum mismatch"})))
-          return true;
-        continue;
-      }
-      // A verified checksummed frame opts this connection into trailers
-      // on every response from here on (sticky, like the transports).
-      c.want_crc = true;
-    }
+        kFramePrefixBytes + len + (prefix->crc ? kFrameCrcBytes : 0);
+    if (in.size() < total) return false;
+    const auto body = in.subspan(kFramePrefixBytes, len);
+    const Status intact =
+        prefix->crc
+            ? verify_frame_trailer(
+                  body, in.subspan(kFramePrefixBytes + len)
+                            .first<kFrameCrcBytes>())
+            : Status{};
+    // A verified checksummed frame opts this connection into trailers on
+    // every response from here on (sticky, like the transports).
+    if (prefix->crc && intact.ok()) c.want_crc = true;
+    std::vector<std::uint8_t> frame(body.begin(), body.end());
     c.rbuf.erase(c.rbuf.begin(),
                  c.rbuf.begin() + static_cast<std::ptrdiff_t>(total));
-    if (admit_frame(c, std::move(frame))) return true;
+    if (intact.ok()) {
+      if (admit_frame(c, std::move(frame))) return true;
+      continue;
+    }
+    // The length field was intact, so framing stays resynchronized:
+    // answer the damaged request with a typed error and keep the
+    // connection — the client's retry policy takes it from there.
+    AESZ_LOG_WARN("event", "conn=%" PRIu64 " frame checksum mismatch", c.id);
+    if (complete(c, c.next_seq++,
+                 encode_error_response({intact.code, intact.message})))
+      return true;
   }
   return false;
+}
+
+bool EventServer::fail_conn(Conn& c, const Status& why) {
+  AESZ_LOG_WARN("event", "conn=%" PRIu64 " %s; closing after the error answer",
+                c.id, why.message.c_str());
+  // closing is set BEFORE complete(): its opportunistic flush may close
+  // the connection (flushed in full, or peer reset), and `c` must not be
+  // touched after that.
+  c.closing = true;
+  c.rbuf.clear();
+  return complete(c, c.next_seq++,
+                  encode_error_response({why.code, why.message}));
 }
 
 bool EventServer::read_ready(Conn& c) {
@@ -398,8 +388,12 @@ bool EventServer::read_ready(Conn& c) {
       if (static_cast<std::size_t>(r) < sizeof tmp) break;
     } else if (r == 0) {
       // Half-close: the peer is done asking; it still gets every answer
-      // it is owed before the connection goes away.
+      // it is owed before the connection goes away — and, when it stopped
+      // part-way through a frame, a final typed answer for that too.
       c.peer_eof = true;
+      if (Status eof = frame_eof_status(c.rbuf.size());
+          eof.code == ErrCode::kCorruptStream)
+        return fail_conn(c, eof);
       break;
     } else if (errno == EINTR) {
       continue;
@@ -443,16 +437,7 @@ bool EventServer::complete(Conn& c, std::uint64_t seq,
   // Frame (length prefix + body, plus a CRC32C trailer for peers that
   // checksum) now, park in the ordered slot, then flush every
   // consecutively-ready response.
-  std::uint32_t len = static_cast<std::uint32_t>(response.size());
-  if (c.want_crc) len |= kFrameCrcFlag;
-  std::vector<std::uint8_t> framed(
-      4 + response.size() + (c.want_crc ? kFrameCrcBytes : 0));
-  std::memcpy(framed.data(), &len, 4);
-  std::memcpy(framed.data() + 4, response.data(), response.size());
-  if (c.want_crc) {
-    const std::uint32_t crc = util::crc32c(response);
-    std::memcpy(framed.data() + 4 + response.size(), &crc, kFrameCrcBytes);
-  }
+  std::vector<std::uint8_t> framed = frame_wire_image(response, c.want_crc);
   c.buffered += framed.size();
   // Single-writer max: complete() only ever runs on the loop thread, so a
   // plain compare-and-set needs no CAS loop.

@@ -63,10 +63,10 @@ class EventLoop {
 ///   reading-frame -> queued/executing -> writing-response -> reading-frame
 ///
 ///  - reading-frame: nonblocking reads feed an incremental reassembly
-///    buffer; the 4-byte length prefix is validated against
-///    kMaxFrameBytes BEFORE any body allocation, and a hostile prefix gets
-///    a typed kCorruptStream error frame before the connection closes
-///    (framing cannot resynchronize after it).
+///    buffer unframed through frame.hpp; the prefix is validated BEFORE
+///    any body allocation. A hostile prefix, or EOF part-way through a
+///    frame, gets a typed kCorruptStream error frame as the connection's
+///    final answer (framing cannot resynchronize after it).
 ///  - queued/executing: each completed frame takes a per-connection
 ///    sequence slot and goes to Server::submit(). Admission control:
 ///    past Options::max_inflight outstanding requests (across ALL
@@ -185,6 +185,8 @@ class EventServer {
   bool read_ready(Conn& c);
   bool write_ready(Conn& c);
   bool parse_frames(Conn& c);
+  /// Answer `why` as the connection's final response, then close it.
+  bool fail_conn(Conn& c, const Status& why);
   bool admit_frame(Conn& c, std::vector<std::uint8_t> frame);
   bool complete(Conn& c, std::uint64_t seq,
                 std::vector<std::uint8_t> response);

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <thread>
 
-#include "service/protocol.hpp"
-#include "util/crc32c.hpp"
+#include "service/frame.hpp"
 
 namespace aesz::service {
 
@@ -48,33 +46,20 @@ Status FaultyTransport::send_frame(std::span<const std::uint8_t> frame) {
     ++stats_.flipped;
     // The flip must land AFTER checksumming — a wire fault damages bytes
     // the sender already committed, trailer included. So build the exact
-    // wire image the inner transport would have produced (prefix | body |
-    // CRC trailer when enabled), flip one bit of the BODY region, and
-    // ship it raw. The peer's CRC verification is what should catch this.
-    const bool with_crc = inner_->frame_crc();
-    std::uint32_t len = static_cast<std::uint32_t>(frame.size());
-    if (with_crc) len |= kFrameCrcFlag;
-    std::vector<std::uint8_t> wire(4 + frame.size() +
-                                   (with_crc ? kFrameCrcBytes : 0));
-    std::memcpy(wire.data(), &len, 4);
-    std::memcpy(wire.data() + 4, frame.data(), frame.size());
-    if (with_crc) {
-      const std::uint32_t crc = util::crc32c(frame);
-      std::memcpy(wire.data() + 4 + frame.size(), &crc, kFrameCrcBytes);
-    }
+    // wire image the inner transport would have produced, flip one bit of
+    // the BODY region, and ship it raw. The peer's CRC verification is
+    // what should catch this.
+    auto wire = frame_wire_image(frame, inner_->frame_crc());
     const std::uint64_t bit = next_rand() % (frame.size() * 8);
-    wire[4 + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    if (auto* p = dynamic_cast<PipeTransport*>(inner_.get())) {
-      p->send_raw(wire);
-      return {};
-    }
-    if (auto* t = dynamic_cast<TcpTransport*>(inner_.get()))
-      return t->send_raw(wire);
+    wire[kFramePrefixBytes + bit / 8] ^=
+        static_cast<std::uint8_t>(1u << (bit % 8));
+    if (auto* stream = dynamic_cast<StreamTransport*>(inner_.get()))
+      return stream->send_raw(wire);
     // Unknown inner transport: no raw hook, so the flipped body goes
     // through its normal framing (pre-CRC — the peer sees a damaged but
     // consistently-checksummed frame and must catch it at the parse layer).
-    return inner_->send_frame(
-        std::span<const std::uint8_t>(wire).subspan(4, frame.size()));
+    return inner_->send_frame(std::span<const std::uint8_t>(wire).subspan(
+        kFramePrefixBytes, frame.size()));
   }
   if (reset < opt_.reset_rate) {
     ++stats_.reset;

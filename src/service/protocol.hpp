@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "predictors/error_bound.hpp"
+#include "service/frame.hpp"
 #include "util/dims.hpp"
 #include "util/expected.hpp"
 
@@ -14,7 +15,7 @@ namespace aesz::service {
 
 /// Frame protocol (version 1) of the compression service. A *frame* is the
 /// unit a Transport delivers: the transport prefixes each frame with a u32
-/// byte length (see transport.hpp); everything below describes the frame
+/// byte length (see frame.hpp); everything below describes the frame
 /// body. Layout (little-endian, varint = LEB128, blob = varint length +
 /// bytes — the ByteWriter/ByteReader conventions shared with the codec
 /// stream formats):
@@ -85,25 +86,6 @@ constexpr std::uint8_t kProtocolVersion = 1;
 
 /// Bytes of the fixed frame-body header (magic + version + opcode).
 constexpr std::size_t kFrameHeaderBytes = 6;
-
-/// Upper bound on a single frame's byte length. Transports reject a larger
-/// declared length before allocating; at 4 bytes/element this caps a served
-/// field at 256 Mi elements per request, far above the bench/test sizes.
-constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 30;
-
-/// Frame-integrity flag (protocol rev 2026-08, wire version unchanged):
-/// bit 31 of the transport's u32 length prefix. When set, the frame body
-/// is followed by a 4-byte CRC32C trailer over the body bytes; the length
-/// field (low 31 bits) still counts the BODY only. The flag is opt-in per
-/// sender and sticky per connection on the server: once a peer sends one
-/// checksummed frame, every response to that peer carries a trailer too.
-/// A legacy peer never sets the bit and never sees a trailer — byte-level
-/// compatibility is preserved. A trailer that does not match is
-/// kChecksumMismatch, NOT a framing error: the length field was intact,
-/// so the connection stays resynchronized and usable.
-constexpr std::uint32_t kFrameCrcFlag = 0x80000000u;
-constexpr std::uint32_t kFrameLenMask = 0x7FFFFFFFu;
-constexpr std::size_t kFrameCrcBytes = 4;
 
 /// Cap on codec-name length inside a frame — a name longer than this is a
 /// hostile frame, not a registry lookup.

@@ -13,8 +13,7 @@
 #include <deque>
 #include <mutex>
 
-#include "service/protocol.hpp"
-#include "util/crc32c.hpp"
+#include "service/frame.hpp"
 
 namespace aesz::service {
 
@@ -27,15 +26,18 @@ class ByteChannel {
   /// channel at cap + one frame instead of growing it without limit.
   static constexpr std::size_t kMaxBuffered = std::size_t{64} << 20;
 
-  void write(std::span<const std::uint8_t> bytes) {
+  /// False, with the bytes dropped, once the channel is closed: the peer
+  /// is gone, like a broken pipe.
+  bool write(std::span<const std::uint8_t> bytes) {
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock,
                [&] { return closed_ || bytes_.size() < kMaxBuffered; });
-      if (closed_) return;  // peer is gone; drop silently like a broken pipe
+      if (closed_) return false;
       bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());
     }
     cv_.notify_all();
+    return true;
   }
 
   /// Block until `n` bytes are available and copy them out. Returns false
@@ -54,11 +56,6 @@ class ByteChannel {
     return true;
   }
 
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-
   void close() {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -68,13 +65,50 @@ class ByteChannel {
   }
 
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::uint8_t> bytes_;
   bool closed_ = false;
 };
 
 }  // namespace detail
+
+// ------------------------------------------------------------- framing ----
+
+Status StreamTransport::send_frame(std::span<const std::uint8_t> frame) {
+  if (frame.size() > kMaxFrameBytes)
+    return Status::error(ErrCode::kInvalidArgument, "frame exceeds limit");
+  const bool crc = crc_.load();
+  if (Status s = send_raw(encode_frame_prefix(frame.size(), crc)); !s.ok())
+    return s;
+  if (Status s = send_raw(frame); !s.ok()) return s;
+  return crc ? send_raw(frame_trailer(frame)) : Status{};
+}
+
+Expected<std::vector<std::uint8_t>> StreamTransport::recv_frame() {
+  // `have` is how far into the frame a read starts: it decides what an
+  // EOF there means.
+  const auto read = [this](std::span<std::uint8_t> dst, std::size_t have) {
+    const ReadResult r = read_exact(dst.data(), dst.size());
+    if (r == ReadResult::kTimeout)
+      return Status::error(ErrCode::kTimeout,
+                           "recv timed out waiting for peer");
+    return r == ReadResult::kEof ? frame_eof_status(have) : Status{};
+  };
+  std::array<std::uint8_t, kFramePrefixBytes> raw;
+  if (Status s = read(raw, 0); !s.ok()) return s;
+  const auto prefix = decode_frame_prefix(raw);
+  if (!prefix.ok()) return prefix.status();
+  std::vector<std::uint8_t> frame(prefix->body_len);
+  if (Status s = read(frame, kFramePrefixBytes); !s.ok()) return s;
+  if (prefix->crc) {
+    std::array<std::uint8_t, kFrameCrcBytes> trailer;
+    if (Status s = read(trailer, kFramePrefixBytes); !s.ok()) return s;
+    if (Status s = verify_frame_trailer(frame, trailer); !s.ok()) return s;
+    crc_.store(true);  // peer checksums: echo trailers on our sends too
+  }
+  return frame;
+}
 
 // ---------------------------------------------------------------- pipe ----
 
@@ -91,62 +125,15 @@ PipeTransport::make_pair() {
   return {std::move(a), std::move(b)};
 }
 
-Status PipeTransport::send_frame(std::span<const std::uint8_t> frame) {
-  if (frame.size() > kMaxFrameBytes)
-    return Status::error(ErrCode::kInvalidArgument, "frame exceeds limit");
-  if (out_->closed())
+Status PipeTransport::send_raw(std::span<const std::uint8_t> bytes) {
+  if (!out_->write(bytes))
     return Status::error(ErrCode::kIoError, "pipe closed");
-  const bool with_crc = crc_.load();
-  std::uint32_t len = static_cast<std::uint32_t>(frame.size());
-  if (with_crc) len |= kFrameCrcFlag;
-  std::uint8_t prefix[4];
-  std::memcpy(prefix, &len, 4);
-  out_->write({prefix, 4});
-  out_->write(frame);
-  if (with_crc) {
-    const std::uint32_t crc = util::crc32c(frame);
-    std::uint8_t trailer[kFrameCrcBytes];
-    std::memcpy(trailer, &crc, kFrameCrcBytes);
-    out_->write({trailer, kFrameCrcBytes});
-  }
   return {};
 }
 
-void PipeTransport::send_raw(std::span<const std::uint8_t> bytes) {
-  out_->write(bytes);
-}
-
-Expected<std::vector<std::uint8_t>> PipeTransport::recv_frame() {
-  std::uint8_t prefix[4];
-  if (!in_->read_exact(prefix, 4))
-    return Status::error(ErrCode::kIoError, "pipe closed");
-  std::uint32_t len = 0;
-  std::memcpy(&len, prefix, 4);
-  const bool has_crc = (len & kFrameCrcFlag) != 0;
-  len &= kFrameLenMask;
-  // Validated BEFORE the allocation the length would size (the CRC flag is
-  // masked off first so a checksummed max-size frame is not misread as an
-  // oversize one).
-  if (len > kMaxFrameBytes)
-    return Status::error(ErrCode::kCorruptStream,
-                         "declared frame length exceeds limit");
-  std::vector<std::uint8_t> frame(len);
-  if (len > 0 && !in_->read_exact(frame.data(), len))
-    return Status::error(ErrCode::kCorruptStream,
-                         "pipe closed mid-frame");
-  if (has_crc) {
-    std::uint8_t trailer[kFrameCrcBytes];
-    if (!in_->read_exact(trailer, kFrameCrcBytes))
-      return Status::error(ErrCode::kCorruptStream,
-                           "pipe closed mid-frame");
-    std::uint32_t want = 0;
-    std::memcpy(&want, trailer, kFrameCrcBytes);
-    if (util::crc32c(frame) != want)
-      return Status::error(ErrCode::kChecksumMismatch,
-                           "frame checksum mismatch");
-    crc_.store(true);  // peer checksums: echo trailers on our sends too
-  }
-  return frame;
+StreamTransport::ReadResult PipeTransport::read_exact(std::uint8_t* dst,
+                                                      std::size_t n) {
+  return in_->read_exact(dst, n) ? ReadResult::kOk : ReadResult::kEof;
 }
 
 void PipeTransport::shutdown() {
@@ -155,54 +142,6 @@ void PipeTransport::shutdown() {
 }
 
 // ----------------------------------------------------------------- tcp ----
-
-namespace {
-
-Status send_all(int fd, const std::uint8_t* data, std::size_t n) {
-  while (n > 0) {
-    // MSG_NOSIGNAL: a vanished peer must surface as EPIPE, not SIGPIPE.
-    const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::error(ErrCode::kIoError,
-                           std::string("send: ") + std::strerror(errno));
-    }
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return {};
-}
-
-enum class RecvResult { kOk, kClosed, kTimeout };
-
-/// Read exactly n bytes. `timeout_ms >= 0` bounds each wait for the socket
-/// to become readable (poll before recv), so a wedged peer yields kTimeout
-/// instead of blocking forever; kClosed covers EOF and errors.
-RecvResult recv_all(int fd, std::uint8_t* data, std::size_t n,
-                    int timeout_ms) {
-  while (n > 0) {
-    if (timeout_ms >= 0) {
-      pollfd pfd{fd, POLLIN, 0};
-      const int p = ::poll(&pfd, 1, timeout_ms);
-      if (p < 0) {
-        if (errno == EINTR) continue;
-        return RecvResult::kClosed;
-      }
-      if (p == 0) return RecvResult::kTimeout;
-    }
-    const ssize_t r = ::recv(fd, data, n, 0);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return RecvResult::kClosed;
-    }
-    if (r == 0) return RecvResult::kClosed;  // EOF
-    data += r;
-    n -= static_cast<std::size_t>(r);
-  }
-  return RecvResult::kOk;
-}
-
-}  // namespace
 
 TcpTransport::TcpTransport(int fd) : fd_(fd) {}
 
@@ -233,77 +172,51 @@ Expected<std::unique_ptr<TcpTransport>> TcpTransport::connect(
   return std::make_unique<TcpTransport>(fd);
 }
 
-Status TcpTransport::send_frame(std::span<const std::uint8_t> frame) {
-  if (frame.size() > kMaxFrameBytes)
-    return Status::error(ErrCode::kInvalidArgument, "frame exceeds limit");
+Status TcpTransport::send_raw(std::span<const std::uint8_t> bytes) {
   if (fd_ < 0) return Status::error(ErrCode::kIoError, "socket closed");
-  const bool with_crc = crc_.load();
-  std::uint32_t len = static_cast<std::uint32_t>(frame.size());
-  if (with_crc) len |= kFrameCrcFlag;
-  std::uint8_t prefix[4];
-  std::memcpy(prefix, &len, 4);
-  if (Status s = send_all(fd_, prefix, 4); !s.ok()) return s;
-  if (Status s = send_all(fd_, frame.data(), frame.size()); !s.ok()) return s;
-  if (with_crc) {
-    const std::uint32_t crc = util::crc32c(frame);
-    std::uint8_t trailer[kFrameCrcBytes];
-    std::memcpy(trailer, &crc, kFrameCrcBytes);
-    return send_all(fd_, trailer, kFrameCrcBytes);
+  const std::uint8_t* data = bytes.data();
+  std::size_t n = bytes.size();
+  while (n > 0) {
+    // MSG_NOSIGNAL: a vanished peer must surface as EPIPE, not SIGPIPE.
+    const ssize_t w = ::send(fd_, data, n, MSG_NOSIGNAL);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return Status::error(ErrCode::kIoError,
+                           std::string("send: ") + std::strerror(errno));
+    }
+    data += w;
+    n -= static_cast<std::size_t>(w);
   }
   return {};
 }
 
-Status TcpTransport::send_raw(std::span<const std::uint8_t> bytes) {
-  if (fd_ < 0) return Status::error(ErrCode::kIoError, "socket closed");
-  return send_all(fd_, bytes.data(), bytes.size());
-}
-
-Expected<std::vector<std::uint8_t>> TcpTransport::recv_frame() {
-  if (fd_ < 0) return Status::error(ErrCode::kIoError, "socket closed");
+/// A non-negative recv timeout bounds each wait for the socket to become
+/// readable (poll before recv), so a wedged peer yields kTimeout instead
+/// of blocking forever; kEof covers EOF and errors.
+StreamTransport::ReadResult TcpTransport::read_exact(std::uint8_t* dst,
+                                                     std::size_t n) {
+  if (fd_ < 0) return ReadResult::kEof;
   const int timeout_ms = recv_timeout_ms_.load();
-  const auto timeout =
-      Status::error(ErrCode::kTimeout, "recv timed out waiting for peer");
-  std::uint8_t prefix[4];
-  switch (recv_all(fd_, prefix, 4, timeout_ms)) {
-    case RecvResult::kOk: break;
-    case RecvResult::kTimeout: return timeout;
-    case RecvResult::kClosed:
-      return Status::error(ErrCode::kIoError, "connection closed");
-  }
-  std::uint32_t len = 0;
-  std::memcpy(&len, prefix, 4);
-  const bool has_crc = (len & kFrameCrcFlag) != 0;
-  len &= kFrameLenMask;
-  if (len > kMaxFrameBytes)
-    return Status::error(ErrCode::kCorruptStream,
-                         "declared frame length exceeds limit");
-  std::vector<std::uint8_t> frame(len);
-  if (len > 0) {
-    switch (recv_all(fd_, frame.data(), len, timeout_ms)) {
-      case RecvResult::kOk: break;
-      case RecvResult::kTimeout: return timeout;
-      case RecvResult::kClosed:
-        return Status::error(ErrCode::kCorruptStream,
-                             "connection closed mid-frame");
+  while (n > 0) {
+    if (timeout_ms >= 0) {
+      pollfd pfd{fd_, POLLIN, 0};
+      const int p = ::poll(&pfd, 1, timeout_ms);
+      if (p < 0) {
+        if (errno == EINTR) continue;
+        return ReadResult::kEof;
+      }
+      if (p == 0) return ReadResult::kTimeout;
     }
-  }
-  if (has_crc) {
-    std::uint8_t trailer[kFrameCrcBytes];
-    switch (recv_all(fd_, trailer, kFrameCrcBytes, timeout_ms)) {
-      case RecvResult::kOk: break;
-      case RecvResult::kTimeout: return timeout;
-      case RecvResult::kClosed:
-        return Status::error(ErrCode::kCorruptStream,
-                             "connection closed mid-frame");
+    const ssize_t r = ::recv(fd_, dst, n, 0);
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      return ReadResult::kEof;
     }
-    std::uint32_t want = 0;
-    std::memcpy(&want, trailer, kFrameCrcBytes);
-    if (util::crc32c(frame) != want)
-      return Status::error(ErrCode::kChecksumMismatch,
-                           "frame checksum mismatch");
-    crc_.store(true);  // peer checksums: echo trailers on our sends too
+    if (r == 0) return ReadResult::kEof;
+    dst += r;
+    n -= static_cast<std::size_t>(r);
   }
-  return frame;
+  return ReadResult::kOk;
 }
 
 void TcpTransport::shutdown() {

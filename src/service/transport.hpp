@@ -13,11 +13,9 @@
 namespace aesz::service {
 
 /// Bidirectional, frame-oriented byte transport between a client and a
-/// server. On the wire every frame is a u32 little-endian byte length
-/// followed by the frame body (protocol.hpp); recv_frame() validates the
-/// declared length against protocol::kMaxFrameBytes BEFORE allocating, so
-/// a hostile peer cannot trigger an unbounded allocation with a 4-byte
-/// prefix.
+/// server, in the wire format of frame.hpp. recv_frame() validates the
+/// declared length BEFORE allocating, so a hostile peer cannot trigger an
+/// unbounded allocation with a 4-byte prefix.
 ///
 /// Threading contract: one thread may send while another receives (the
 /// server's pipelined response writer depends on full-duplex operation),
@@ -31,24 +29,49 @@ class Transport {
   virtual Status send_frame(std::span<const std::uint8_t> frame) = 0;
 
   /// Block for the next frame. kIoError on orderly close / lost peer,
-  /// kCorruptStream on an un-resynchronizable framing violation (oversized
-  /// declared length, truncated length prefix mid-stream).
+  /// including a close part-way through the length prefix; kCorruptStream
+  /// on an un-resynchronizable framing violation (oversized declared
+  /// length, close after the prefix but before the frame's last byte).
   virtual Expected<std::vector<std::uint8_t>> recv_frame() = 0;
 
   /// Unblock any pending recv_frame on both ends and refuse further
   /// traffic. Idempotent.
   virtual void shutdown() = 0;
 
-  /// Opt into frame integrity (protocol.hpp kFrameCrcFlag): send_frame
-  /// sets bit 31 of the length prefix and appends a CRC32C trailer over
-  /// the body. Receivers ALWAYS accept both forms regardless of this
-  /// switch, and receiving one checksummed frame turns the switch on —
-  /// so a server built on raw transports echoes trailers to any peer
-  /// that sends them, without per-connection bookkeeping by the caller.
-  /// Default implementation is a no-op for transports (wrappers,
-  /// test doubles) that do not frame bytes themselves.
+  /// Opt into frame integrity: send_frame flags the prefix and appends a
+  /// CRC32C trailer (frame.hpp). Receivers ALWAYS accept both forms, and
+  /// receiving one checksummed frame turns the switch on — so a server
+  /// built on raw transports echoes trailers to any peer that sends them.
+  /// A no-op for transports (wrappers, test doubles) that do not frame
+  /// bytes themselves.
   virtual void set_frame_crc(bool) {}
   virtual bool frame_crc() const { return false; }
+};
+
+/// A Transport over a blocking byte stream: the one blocking frame reader
+/// and writer, on top of two byte primitives a subclass supplies. It owns the send-side size
+/// check (kInvalidArgument), the prefix/body/trailer reads, one error
+/// mapping (EOF before a whole prefix kIoError, EOF mid-frame
+/// kCorruptStream, a stalled read kTimeout) and the sticky CRC switch.
+class StreamTransport : public Transport {
+ public:
+  Status send_frame(std::span<const std::uint8_t> frame) final;
+  Expected<std::vector<std::uint8_t>> recv_frame() final;
+  void set_frame_crc(bool on) final { crc_.store(on); }
+  bool frame_crc() const final { return crc_.load(); }
+
+  /// Put raw bytes on the wire with NO length prefix. send_frame writes
+  /// through it; tests and fault injectors use it to present hostile or
+  /// truncated prefixes and frames split at arbitrary byte boundaries.
+  virtual Status send_raw(std::span<const std::uint8_t> bytes) = 0;
+
+ protected:
+  enum class ReadResult { kOk, kEof, kTimeout };
+  /// Block until exactly `n` bytes are copied to `dst`.
+  virtual ReadResult read_exact(std::uint8_t* dst, std::size_t n) = 0;
+
+ private:
+  std::atomic<bool> crc_{false};
 };
 
 namespace detail {
@@ -61,37 +84,31 @@ class ByteChannel;
 /// connected by two byte FIFOs, no sockets involved. The wire format is
 /// byte-exact with the TCP transport, so framing violations (a hostile
 /// length prefix injected via send_raw) exercise the same validation path.
-class PipeTransport final : public Transport {
+class PipeTransport final : public StreamTransport {
  public:
   /// Two connected endpoints; frames sent on one arrive at the other.
   static std::pair<std::unique_ptr<PipeTransport>,
                    std::unique_ptr<PipeTransport>>
   make_pair();
 
-  Status send_frame(std::span<const std::uint8_t> frame) override;
-  Expected<std::vector<std::uint8_t>> recv_frame() override;
   void shutdown() override;
-  void set_frame_crc(bool on) override { crc_.store(on); }
-  bool frame_crc() const override { return crc_.load(); }
+  Status send_raw(std::span<const std::uint8_t> bytes) override;
 
-  /// Test hook: put raw bytes on the wire with NO length prefix — the way
-  /// to present a hostile/truncated length prefix to the peer's
-  /// recv_frame().
-  void send_raw(std::span<const std::uint8_t> bytes);
+ protected:
+  ReadResult read_exact(std::uint8_t* dst, std::size_t n) override;
 
  private:
   PipeTransport(std::shared_ptr<detail::ByteChannel> in,
                 std::shared_ptr<detail::ByteChannel> out);
 
   std::shared_ptr<detail::ByteChannel> in_, out_;
-  std::atomic<bool> crc_{false};
 };
 
 /// TCP loopback transport over a connected socket. Construction paths:
 /// TcpListener::accept() on the server side, TcpTransport::connect() on
 /// the client side. Close/shutdown use ::shutdown so a blocked recv on
 /// another thread returns instead of hanging.
-class TcpTransport final : public Transport {
+class TcpTransport final : public StreamTransport {
  public:
   /// Connect to host:port (numeric IPv4 host, e.g. "127.0.0.1").
   static Expected<std::unique_ptr<TcpTransport>> connect(
@@ -104,11 +121,8 @@ class TcpTransport final : public Transport {
   TcpTransport(const TcpTransport&) = delete;
   TcpTransport& operator=(const TcpTransport&) = delete;
 
-  Status send_frame(std::span<const std::uint8_t> frame) override;
-  Expected<std::vector<std::uint8_t>> recv_frame() override;
   void shutdown() override;
-  void set_frame_crc(bool on) override { crc_.store(on); }
-  bool frame_crc() const override { return crc_.load(); }
+  Status send_raw(std::span<const std::uint8_t> bytes) override;
 
   /// Bound how long recv_frame() blocks waiting for bytes (a poll() ahead
   /// of every recv). A hung or wedged peer surfaces as a typed kTimeout
@@ -117,14 +131,11 @@ class TcpTransport final : public Transport {
   /// frame is fine as long as no single stall exceeds the budget.
   void set_recv_timeout_ms(int ms) { recv_timeout_ms_.store(ms); }
 
-  /// Test hook mirroring PipeTransport::send_raw: put raw bytes on the
-  /// wire with NO length prefix, so fuzzers can present hostile/truncated
-  /// prefixes and split frames at arbitrary byte boundaries.
-  Status send_raw(std::span<const std::uint8_t> bytes);
+ protected:
+  ReadResult read_exact(std::uint8_t* dst, std::size_t n) override;
 
  private:
   int fd_ = -1;
-  std::atomic<bool> crc_{false};
   std::atomic<int> recv_timeout_ms_{-1};
 };
 

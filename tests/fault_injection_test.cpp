@@ -249,7 +249,8 @@ void sweep_wire(std::span<const std::uint8_t> frame) {
           << "prefix/trailer bit " << bit;
     }
     // !r.ok() outside the body region is fine: kCorruptStream (hostile
-    // length), kIoError (EOF mid-frame), kChecksumMismatch (trailer bit).
+    // length, or EOF mid-frame after a grown length), kChecksumMismatch
+    // (trailer bit).
   }
 }
 

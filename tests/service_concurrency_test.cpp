@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "data/synth.hpp"
+#include "obs/metrics.hpp"
 #include "service/client.hpp"
 #include "service/event_loop.hpp"
 #include "service/protocol.hpp"
@@ -317,7 +318,8 @@ TEST(EventServerConcurrency, ResetDuringErrorResponsesDoesNotCorrupt) {
       burst.insert(burst.end(), tiny.begin(), tiny.end());
     const std::vector<std::uint8_t> hostile = {0xFF, 0xFF, 0xFF, 0xFF};
 
-    for (int i = 0; i < 40; ++i) {
+    constexpr int kStormers = 40;
+    for (int i = 0; i < kStormers; ++i) {
       RawClient raw(h.listener->port());
       if (raw.fd < 0) break;  // ASSERT in ctor already failed the test
       // Alternate abuse: overload burst vs. oversized length prefix, with
@@ -333,6 +335,22 @@ TEST(EventServerConcurrency, ResetDuringErrorResponsesDoesNotCorrupt) {
     auto response = occupier->recv_frame();
     ASSERT_TRUE(response.ok());
     EXPECT_TRUE(svc::parse_compress_response(*response).ok());
+    // Let the storm drain before probing (bounded wait): under load the
+    // loop can read a stormer's frame only after the occupier completed,
+    // admit it into the single in-flight slot, and still be executing it
+    // when the probe arrives — the probe would then meet kOverloaded.
+    // Every stormer connection closed plus an empty in-flight gauge means
+    // nothing from the storm can take the slot any more.
+    obs::Counter& closed =
+        h.server.metrics().counter("ev_connections_closed");
+    obs::Gauge& inflight = h.server.metrics().gauge("ev_inflight");
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while ((closed.value() < kStormers || inflight.value() != 0) &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(closed.value(), static_cast<std::uint64_t>(kStormers));
+    ASSERT_EQ(inflight.value(), 0);
     // ...and a fresh connection round-trips against a healthy server.
     auto probe = h.connect();
     svc::Client client(*probe);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <thread>
@@ -16,6 +17,7 @@
 #include "predictors/registry.hpp"
 #include "progressive/progressive.hpp"
 #include "service/client.hpp"
+#include "service/frame.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "service/transport.hpp"
@@ -245,23 +247,29 @@ TEST(PipeTransport, FrameRoundTripAndShutdown) {
   EXPECT_EQ(client->recv_frame().status().code, ErrCode::kIoError);
 }
 
-TEST(PipeTransport, HostileLengthPrefixIsRejectedBeforeAllocation) {
-  auto [client, server] = svc::PipeTransport::make_pair();
-  // Declared frame length 0xFFFFFFFF (4 GiB) > kMaxFrameBytes: recv must
-  // reject on the prefix alone, without allocating the declared size.
-  const std::uint8_t hostile[4] = {0xFF, 0xFF, 0xFF, 0xFF};
-  client->send_raw({hostile, 4});
-  const auto r = server->recv_frame();
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code, ErrCode::kCorruptStream);
-}
+// A hostile length prefix per receiver is pinned by the parity table in
+// service_wire_test.cpp (ReceiverParity).
 
 TEST(PipeTransport, TruncatedLengthPrefixSurfacesOnClose) {
   auto [client, server] = svc::PipeTransport::make_pair();
   const std::uint8_t partial[2] = {5, 0};  // half a length prefix
   client->send_raw({partial, 2});
   client->shutdown();
-  EXPECT_FALSE(server->recv_frame().ok());
+  // A close before a whole prefix is a lost peer, not a corrupt frame.
+  EXPECT_EQ(server->recv_frame().status().code, ErrCode::kIoError);
+}
+
+TEST(TcpTransport, TruncatedLengthPrefixSurfacesOnClose) {
+  auto listener = svc::TcpListener::bind(0);
+  ASSERT_TRUE(listener.ok());
+  auto client = svc::TcpTransport::connect("127.0.0.1", (*listener)->port());
+  ASSERT_TRUE(client.ok());
+  auto server = (*listener)->accept();
+  ASSERT_TRUE(server.ok());
+  const std::uint8_t partial[2] = {5, 0};  // half a length prefix
+  ASSERT_TRUE((*client)->send_raw({partial, 2}).ok());
+  (*client)->shutdown();
+  EXPECT_EQ((*server)->recv_frame().status().code, ErrCode::kIoError);
 }
 
 TEST(TcpTransport, ConnectToClosedPortIsTypedError) {
@@ -273,6 +281,64 @@ TEST(TcpTransport, ConnectToClosedPortIsTypedError) {
   const auto t = svc::TcpTransport::connect("127.0.0.1", port);
   ASSERT_FALSE(t.ok());
   EXPECT_EQ(t.status().code, ErrCode::kIoError);
+}
+
+// -------------------------------------------------------------- frame ----
+
+/// The one prefix decoder masks the CRC flag before the cap check. The
+/// flag-plus-max-length row is a boundary no transport test can reach: it
+/// would take a 1 GiB frame.
+TEST(Frame, PrefixDecoderTable) {
+  const auto max = static_cast<std::uint32_t>(svc::kMaxFrameBytes);
+  const struct {
+    std::uint32_t word;
+    bool ok;
+    std::size_t len;
+    bool crc;
+  } rows[] = {
+      {0, true, 0, false},
+      {1, true, 1, false},
+      {max, true, svc::kMaxFrameBytes, false},
+      {max + 1, false, 0, false},
+      {svc::kFrameCrcFlag | max, true, svc::kMaxFrameBytes, true},
+      {svc::kFrameCrcFlag | (max + 1), false, 0, false},
+      {0xFFFFFFFFu, false, 0, false},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.word);
+    std::array<std::uint8_t, 4> raw;
+    std::memcpy(raw.data(), &row.word, 4);
+    const auto p = svc::decode_frame_prefix(raw);
+    ASSERT_EQ(p.ok(), row.ok);
+    if (!row.ok) {
+      EXPECT_EQ(p.status().code, ErrCode::kCorruptStream);
+      continue;
+    }
+    EXPECT_EQ(p->body_len, row.len);
+    EXPECT_EQ(p->crc, row.crc);
+    EXPECT_EQ(svc::encode_frame_prefix(p->body_len, p->crc), raw);
+  }
+}
+
+TEST(Frame, WireImageTrailerAndEofMapping) {
+  const std::vector<std::uint8_t> body{1, 2, 3, 4, 5};
+  // Same bytes as the golden wire pins in service_wire_test.cpp.
+  EXPECT_EQ(svc::frame_wire_image(body, false),
+            (std::vector<std::uint8_t>{5, 0, 0, 0, 1, 2, 3, 4, 5}));
+  const auto wire = svc::frame_wire_image(body, true);
+  EXPECT_EQ(wire, (std::vector<std::uint8_t>{5, 0, 0, 0x80, 1, 2, 3, 4, 5,
+                                             0xab, 0x8f, 0x51, 0x53}));
+  const auto trailer = svc::frame_trailer(body);
+  EXPECT_TRUE(svc::verify_frame_trailer(body, trailer).ok());
+  auto flipped = body;
+  flipped[2] ^= 0x01;
+  EXPECT_EQ(svc::verify_frame_trailer(flipped, trailer).code,
+            ErrCode::kChecksumMismatch);
+  for (const std::size_t have : {0, 1, 3})
+    EXPECT_EQ(svc::frame_eof_status(have).code, ErrCode::kIoError) << have;
+  for (const std::size_t have : {4, 5, 100})
+    EXPECT_EQ(svc::frame_eof_status(have).code, ErrCode::kCorruptStream)
+        << have;
 }
 
 // ------------------------------------------------------------- server ----
